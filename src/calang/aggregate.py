@@ -30,15 +30,14 @@ from typing import Callable, Optional, Union
 from . import syntax
 from .clauses import (
     BoxDeclaration,
-    Branch,
     Clause,
     Diagnostic,
     Equivalence,
     Predicate,
     Relation,
-    branch_snapshot,
     evaluate_box,
     flatten_provided,
+    merge_branches,
 )
 from .terms import (
     ENVIRONMENT,
@@ -290,21 +289,9 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None,
                     fired = dict(br.fired)
                     fired[inst.name] = sub.fired
                     nxt.append(NetBranch(sub.store, fired))
-        branches = _merge_net_branches(nxt)
+        branches = merge_branches(nxt)
 
     return NetEvaluation(net, branches, diagnostics)
-
-
-def _merge_net_branches(branches: list[NetBranch]) -> list[NetBranch]:
-    seen = set()
-    out = []
-    for br in branches:
-        key = branch_snapshot(br.store)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(br)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,7 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None,
                 nxt.append(Branch(s, br.fired + (idx,)))
         if not fired_somewhere:
             diagnostics.append(Diagnostic("note", f"{label}: condition not satisfied", clause.pos))
-        branches = _merge_branches(nxt)
+        branches = merge_branches(nxt)
 
     if not branches:
         diagnostics.append(Diagnostic(
@@ -324,7 +324,12 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None,
     return BoxEvaluation(decl, store, branches, diagnostics)
 
 
-def _merge_branches(branches: list[Branch]) -> list[Branch]:
+def merge_branches(branches: list) -> list:
+    """Drop branches whose stores say the same as an earlier one's.
+
+    Serves box branches and network branches alike: both carry a
+    ``store``.  Order is preserved.
+    """
     seen = set()
     out = []
     for br in branches:

@@ -10,6 +10,7 @@ Terms are immutable trees over five constructors:
 * ``Tup``     -- an ordered tuple,
 * ``SetTerm`` -- a flat set: member terms plus a list of union variables.
 
+Every term has a ``ground`` flag, true when no variable occurs in it.
 There are two mutually incoercible kinds of term: sets and individuals.
 ``desugar`` lowers surface trees from :mod:`calang.syntax` into this
 algebra: infix operators become operator-headed tuples, head-extraction
@@ -46,18 +47,33 @@ INDIVIDUAL = "individual"
 SET = "set"
 
 
+# Hashes and groundness flags are cached on first use, not at
+# construction: most terms built during unification are never hashed.
+
+def _cache(term, attr: str, value):
+    object.__setattr__(term, attr, value)
+    return value
+
+
 @dataclass(frozen=True)
 class Num:
     value: Fraction
+    ground = True
+    _hash = None
 
     def __post_init__(self):
         if not isinstance(self.value, Fraction):
             object.__setattr__(self, "value", Fraction(self.value))
 
+    def __hash__(self):
+        h = self._hash
+        return h if h is not None else _cache(self, "_hash", hash((self.value,)))
+
 
 @dataclass(frozen=True)
 class Sym:
     name: str
+    ground = True
 
 
 @dataclass(frozen=True)
@@ -69,6 +85,7 @@ class Var:
     vid: tuple[str, int]
     name: str = field(compare=False)
     category: str = field(compare=False)
+    ground = False
 
     @property
     def anonymous(self) -> bool:
@@ -82,10 +99,23 @@ class Var:
 @dataclass(frozen=True)
 class Tup:
     members: tuple["Term", ...]
+    _hash = None
+    _ground = None
 
     @property
     def head(self) -> "Term":
         return self.members[0]
+
+    @property
+    def ground(self) -> bool:
+        """True when no variable occurs anywhere inside."""
+        g = self._ground
+        return g if g is not None else _cache(
+            self, "_ground", all(m.ground for m in self.members))
+
+    def __hash__(self):
+        h = self._hash
+        return h if h is not None else _cache(self, "_hash", hash((self.members,)))
 
 
 class SetTerm:
@@ -97,29 +127,40 @@ class SetTerm:
     display.
     """
 
-    __slots__ = ("elements", "union_vars", "_key")
+    __slots__ = ("elements", "union_vars", "_key", "_hash", "_ground")
 
     def __init__(self, elements: Iterable["Term"] = (), union_vars: Iterable[Var] = ()):
-        elems: list[Term] = []
-        for e in elements:
-            if e not in elems:
-                elems.append(e)
-        uvars: list[Var] = []
-        for v in union_vars:
-            if v not in uvars:
-                uvars.append(v)
-        object.__setattr__(self, "elements", tuple(elems))
-        object.__setattr__(self, "union_vars", tuple(uvars))
-        object.__setattr__(self, "_key", (frozenset(elems), frozenset(uvars)))
+        elems, uvars = tuple(elements), tuple(union_vars)
+        key = (frozenset(elems), frozenset(uvars))
+        # Members are hashed once, for the key; only a term that has
+        # duplicates is walked a second time.
+        if len(key[0]) != len(elems):
+            elems = tuple(dict.fromkeys(elems))
+        if len(key[1]) != len(uvars):
+            uvars = tuple(dict.fromkeys(uvars))
+        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "union_vars", uvars)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_ground", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetTerm is immutable")
+
+    @property
+    def ground(self) -> bool:
+        """True when there are no union variables and no variable occurs
+        in any element."""
+        g = self._ground
+        return g if g is not None else _cache(
+            self, "_ground", not self.union_vars and all(e.ground for e in self.elements))
 
     def __eq__(self, other):
         return isinstance(other, SetTerm) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        h = self._hash
+        return h if h is not None else _cache(self, "_hash", hash(self._key))
 
     def __repr__(self):
         return f"SetTerm({list(self.elements)!r}, {list(self.union_vars)!r})"
@@ -267,10 +308,6 @@ def classify(t: Term) -> str:
     if isinstance(t, Tup) and t.members and t.head == Sym(UNION):
         return SET
     return INDIVIDUAL
-
-
-def is_set_term(t: Term) -> bool:
-    return classify(t) == SET
 
 
 def check_set_wellformed(t: Term) -> Optional[str]:

@@ -6,13 +6,17 @@ flat set unification (sets of the form ``{t1, ..., tn} \\/ v1 ... \\/ vq``)
 generically has several incomparable ones.  Failure is the empty result,
 never an exception.
 
-The set unifier enumerates candidate solutions from three ingredients:
+The set unifier builds candidate solutions from three ingredients:
 
 1. a *witness* choice pairing every element of each side with an element
    of the other side or absorbing it into one of the other side's union
-   variables,
+   variables.  The choices are walked depth first, one element at a
+   time, and each new pair is unified as soon as it is chosen, so a
+   prefix whose pairs fail is dropped with everything that extends it;
 2. an *extras* choice adding already-covered elements to union variables
-   (set members may be covered more than once),
+   (set members may be covered more than once).  A union variable's
+   extras are drawn from the known elements the witness did not already
+   absorb into that variable: one it holds would repeat a candidate;
 3. fresh *remainder* union variables shared between left and right union
    variables, standing for common content the equation does not name.
 
@@ -111,16 +115,21 @@ def resolve(term: Term, store: BindingStore) -> Term:
 
     Bound union variables merge their set values into the enclosing set;
     a union variable bound to an individual is left in place for the
-    well-formedness check to reject.
+    well-formedness check to reject.  Ground terms are returned as they
+    are, not rebuilt.
     """
     match term:
         case Var():
             b = store.binding(term)
             return resolve(b, store) if b is not None else term
         case Tup():
-            return Tup(tuple(resolve(m, store) for m in term.members))
+            if term.ground:
+                return term
+            return Tup(tuple(m if m.ground else resolve(m, store) for m in term.members))
         case SetTerm():
-            elements = [resolve(e, store) for e in term.elements]
+            if term.ground:
+                return term
+            elements = [e if e.ground else resolve(e, store) for e in term.elements]
             union_vars: list[Var] = []
             for v in term.union_vars:
                 b = store.binding(v)
@@ -222,10 +231,12 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
     ``frozen`` variables may be read but not bound; an attempted binding
     fails that branch.  The rules, applied in order: bound variables are
     resolved first; an unbound variable binds to the other operand (after
-    an occurs check); non-variable basic terms unify only with identical
-    basic terms; tuples unify member-wise at equal arity; tuples and sets
-    never unify unless the tuple is ``\\union``-headed; set against set
-    goes through :func:`unify_sets`.
+    an occurs check); of two unbound variables, the one that may bind is
+    bound, and of two that may, the one with the larger id; non-variable
+    basic terms unify only with identical basic terms; tuples unify
+    member-wise at equal arity; tuples and sets never unify unless the
+    tuple is ``\\union``-headed; set against set goes through
+    :func:`unify_sets`.
     """
     if store is None:
         store = BindingStore()
@@ -238,8 +249,9 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
     if isinstance(t1, Var) and isinstance(t2, Var):
         if t1 == t2:
             return [store]
-        # Prefer binding a variable that is allowed to bind.
-        if t1 in frozen and t2 not in frozen:
+        # Bind the variable that may bind; when both may, the one with the
+        # larger id, so the store does not depend on the operand order.
+        if (t1 not in frozen, t1.vid) < (t2 not in frozen, t2.vid):
             t1, t2 = t2, t1
         s = _bind(store, t1, t2, frozen)
         return [s] if s is not None else []
@@ -307,40 +319,41 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     if B and not A and not U:
         return []
 
-    a_options = [[("pair", j) for j in range(len(B))] + [("absorb", w) for w in W] for _ in A]
-    b_options = [[("pair", i) for i in range(len(A))] + [("absorb", u) for u in U] for _ in B]
-
-    all_vars: list[Var] = []
-    for v in U + W:
-        if v not in all_vars:
-            all_vars.append(v)
-
+    # One choice per element, A's first: pair it with an element of the
+    # other side or absorb it into one of the other side's union variables.
+    options = ([[("pair", j) for j in range(len(B))] + [("absorb", w) for w in W]
+                for _ in A]
+               + [[("pair", i) for i in range(len(A))] + [("absorb", u) for u in U]
+                  for _ in B])
+    union_vars = list(dict.fromkeys(U + W))
+    chosen: list[Optional[tuple]] = [None] * len(options)
     candidates: list[BindingStore] = []
-    for fa in product(*a_options):
-        for fb in product(*b_options):
-            pairs: list[tuple[Term, Term]] = []
-            absorbed: dict[Var, list[Term]] = {v: [] for v in all_vars}
-            for i, choice in enumerate(fa):
-                if choice[0] == "pair":
-                    pairs.append((A[i], B[choice[1]]))
-                else:
-                    absorbed[choice[1]].append(A[i])
-            for j, choice in enumerate(fb):
-                if choice[0] == "pair":
-                    pair = (A[choice[1]], B[j])
-                    if pair not in pairs:
-                        pairs.append(pair)
-                else:
-                    absorbed[choice[1]].append(B[j])
 
-            stores = [store]
-            for a, b in pairs:
-                stores = [s2 for s in stores for s2 in unify(a, b, s, frozen, _filter=False)]
-                if not stores:
-                    break
+    def walk(k: int, stores: list[BindingStore]):
+        # Depth first, in the order of the full product of choices; a pair
+        # is unified as soon as it is chosen, so a failing prefix is
+        # dropped before any of its completions are built.
+        if k == len(options):
+            absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
+            for i, (kind, target) in enumerate(chosen):
+                if kind == "absorb":
+                    absorbed[target].append(A[i] if i < len(A) else B[i - len(A)])
             for s in stores:
-                candidates.extend(
-                    _complete_candidate(s, A, B, U, W, absorbed, frozen))
+                candidates.extend(_complete_candidate(s, A, B, U, W, absorbed, frozen))
+            return
+        for choice in options[k]:
+            chosen[k] = choice
+            kind, target = choice
+            nxt = stores
+            # A pair that both of its elements chose is unified only once.
+            if kind == "pair" and (k < len(A) or chosen[target] != ("pair", k - len(A))):
+                a, b = (A[k], B[target]) if k < len(A) else (A[target], B[k - len(A)])
+                nxt = [s2 for s in stores for s2 in unify(a, b, s, frozen, _filter=False)]
+                if not nxt:
+                    continue
+            walk(k + 1, nxt)
+
+    walk(0, [store])
 
     verified = []
     for s in candidates:
@@ -354,23 +367,26 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
 
 def _complete_candidate(s: BindingStore, A, B, U, W, absorbed,
                         frozen: frozenset[Var]) -> list[BindingStore]:
-    """Finish one witness choice: enumerate extras and allocate remainder
-    variables, yielding unverified candidate stores."""
-    ordered_vars: list[Var] = []
-    for v in U + W:
-        if v not in ordered_vars:
-            ordered_vars.append(v)
+    """Finish one witness choice: add extras and remainder variables to
+    every union variable, yielding unverified candidate stores.
+
+    A union variable's extras are any subset of the known elements (both
+    sides, resolved under ``s``) that the witness did not already absorb
+    into that same variable.  Set members collapse, so an extra it holds
+    already would only repeat a candidate built without it.
+    """
+    ordered_vars = list(dict.fromkeys(U + W))
     if not ordered_vars:
         return [s]
 
-    known: list[Term] = []
-    for e in A + B:
-        r = resolve(e, s)
-        if r not in known:
-            known.append(r)
+    known = list(dict.fromkeys(resolve(e, s) for e in A + B))
+    extra_options = []
+    for v in ordered_vars:
+        held = {resolve(e, s) for e in absorbed.get(v, ())}
+        extra_options.append(_subsets([k for k in known if k not in held]))
 
     out: list[BindingStore] = []
-    for extra_choice in product(_subsets(known), repeat=len(ordered_vars)):
+    for extra_choice in product(*extra_options):
         s2 = s
         # Remainder variables shared between each left/right pair of union
         # variables; a variable occurring on both sides gets a private one.
@@ -597,26 +613,22 @@ def _match_sets(pattern: SetTerm, target: SetTerm, sub: dict[Var, Term]):
         yield from assign(items, 0, s, values)
 
 
-_rename_serial = 0
-
-
 def _rename_apart(terms: list[Term]) -> list[Term]:
     """Bijectively rename every free variable to a fresh identity.
 
     Independent solutions can reuse generated variable ids, and matching
     must never confuse a pattern variable with a target one, so the
-    target side gets a disjoint variable space.
+    target side gets a disjoint variable space.  The renamed variables
+    live only inside one instance check, so the numbering restarts at
+    every call.
     """
-    global _rename_serial
     mapping: dict[Var, Var] = {}
 
     def walk(t: Term) -> Term:
-        global _rename_serial
         match t:
             case Var():
                 if t not in mapping:
-                    mapping[t] = Var(("m", _rename_serial), t.name, t.category)
-                    _rename_serial += 1
+                    mapping[t] = Var(("m", len(mapping)), t.name, t.category)
                 return mapping[t]
             case Tup():
                 return Tup(tuple(walk(m) for m in t.members))

@@ -206,6 +206,35 @@ class TestSetTermEquality:
         s = SetTerm([Sym("b"), Sym("a")])
         assert term_text(s) == "{b, a}"
 
+    def test_equal_terms_hash_equal(self):
+        a, b = Sym("a"), Sym("b")
+        v = Var(("t", 1), "v", LOCAL)
+        w = Var(("t", 2), "w", LOCAL)
+        pairs = [
+            (SetTerm([a, b, Tup((a, b))], [v, w]),
+             SetTerm([Tup((a, b)), b, a, b], [w, v, w])),
+            (Num(1), Num(Fraction(1))),
+            (Num(Fraction(6, 4)), Num(Fraction(3, 2))),
+            (Tup((a, SetTerm([a, b], [v]))), Tup((a, SetTerm([b, a, a], [v, v])))),
+        ]
+        for t1, t2 in pairs:
+            hash(t1)  # one side's hash is cached before the other's is computed
+            assert t1 == t2 and t2 == t1
+            assert hash(t1) == hash(t2)
+            assert len({t1, t2}) == 1
+        # Duplicates collapse onto their first occurrence.
+        assert SetTerm([b, a, b], [w, v, w]).elements == (b, a)
+        assert SetTerm([b, a, b], [w, v, w]).union_vars == (w, v)
+
+    def test_ground_flag(self):
+        a = Sym("a")
+        x = Var(("t", 1), "x", LOCAL)
+        assert Tup((a, Num(2), SetTerm([Tup((a, a))]))).ground
+        assert not Tup((a, Tup((a, x)))).ground
+        assert not SetTerm([a], [x]).ground
+        assert not SetTerm([Tup((x,))]).ground
+        assert SetTerm().ground
+
 
 class TestTermText:
     @pytest.mark.parametrize("text", [

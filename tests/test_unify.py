@@ -140,6 +140,21 @@ class TestResolve:
         s = BindingStore().bind(v, SetTerm([b]))
         assert resolve(SetTerm([a], [v]), s) == SetTerm([a, b])
 
+    def test_ground_term_returned_as_is(self):
+        s = BindingStore().bind(x, a).bind(v, SetTerm([b]))
+        for t in (Tup((a, Tup((b, c)), Num(Fraction(2)))),
+                  SetTerm([a, Tup((b, c))]),
+                  Tup((a, SetTerm([b, c])))):
+            assert resolve(t, s) is t
+
+    def test_tuple_with_bound_variable_rebuilt(self):
+        s = BindingStore().bind(x, b)
+        t = Tup((a, Tup((c, x))))
+        r = resolve(t, s)
+        assert r is not t
+        assert r == Tup((a, Tup((c, b))))
+        assert r.ground and not t.ground
+
 
 class TestUnifyBasics:
     def test_variable_binds_to_number(self):
@@ -175,6 +190,18 @@ class TestUnifyBasics:
         for s in unify(Tup((x, y)), Tup((a, b)), s0):
             assert resolve(y, s) == b
             assert resolve(x, s) == a
+
+    def test_variable_pair_binds_the_same_way_in_both_orders(self):
+        fwd, = unify(x, y)
+        rev, = unify(y, x)
+        assert solution_snapshot(fwd, [x, y]) == solution_snapshot(rev, [x, y])
+        # A frozen variable is never the one bound, whichever side it is on.
+        for frozen_var, free_var in ((x, y), (y, x)):
+            frozen = frozenset([frozen_var])
+            for t1, t2 in ((x, y), (y, x)):
+                s, = unify(t1, t2, frozen=frozen)
+                assert not s.is_bound(frozen_var)
+                assert s.binding(free_var) == frozen_var
 
     def test_frozen_variable_cannot_bind(self):
         assert unify(x, a, frozen=frozenset([x])) == []
@@ -303,6 +330,8 @@ class TestMaximalGenerality:
     (SetTerm([Tup((a, x))], [v]), SetTerm([Tup((a, b)), c])),
     (SetTerm([x], [v]), SetTerm([y], [w])),
     (SetTerm([], [v]), SetTerm([a, b, c])),
+    (SetTerm([Tup((a, x))], [v]), SetTerm([Tup((a, a)), a, b, c])),
+    (SetTerm([a, x], [v]), SetTerm([b], [w])),
 ])
 def test_oracle_agreement(t1, t2):
     assert_sound_and_complete(t1, t2)
