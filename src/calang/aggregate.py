@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from . import syntax
 from .clauses import (
@@ -37,11 +37,10 @@ from .clauses import (
     Relation,
     evaluate_box,
     flatten_provided,
+    input_store,
     merge_branches,
 )
 from .terms import (
-    ENVIRONMENT,
-    LOCAL,
     Num,
     SetTerm,
     Sym,
@@ -50,6 +49,9 @@ from .terms import (
     Var,
     VarScope,
     VarSupply,
+    check_set_wellformed,
+    desugar,
+    map_vars,
     term_text,
 )
 from .unify import BindingStore, resolve, unify
@@ -126,21 +128,9 @@ def clone_declaration(decl: BoxDeclaration, supply: VarSupply) -> BoxDeclaration
             mapping[v] = supply.fresh(v.name, v.category)
         return mapping[v]
 
-    def rn(t: Term) -> Term:
-        match t:
-            case Var():
-                return rn_var(t)
-            case Tup():
-                return Tup(tuple(rn(m) for m in t.members))
-            case SetTerm():
-                return SetTerm([rn(e) for e in t.elements], [rn_var(v) for v in t.union_vars])
-            case _:
-                return t
-
     def rn_pred(p: Predicate) -> Predicate:
-        if isinstance(p, Relation):
-            return Relation(rn(p.lhs), p.op, rn(p.rhs))
-        return Equivalence(rn(p.lhs), rn(p.rhs))
+        lhs, rhs = map_vars(p.lhs, rn_var), map_vars(p.rhs, rn_var)
+        return Relation(lhs, p.op, rhs) if isinstance(p, Relation) else Equivalence(lhs, rhs)
 
     clauses = tuple(
         Clause(tuple(rn_pred(p) for p in c.conditions),
@@ -403,14 +393,6 @@ def _parallel_rule(models: list[LatencyModel]) -> LatencyModel:
     return out
 
 
-# Aggregation rules per network combinator; further combinators plug in
-# here.
-COMBINATOR_RULES: dict[str, Callable] = {
-    "serial": _serial_rule,
-    "parallel": _parallel_rule,
-}
-
-
 def aggregate_extrafunctional(expr: NetExpr, store: BindingStore,
                               default_comm: Term = COMM_COST) -> LatencyModel:
     """Fold the combinator tree into one latency model for the network."""
@@ -421,9 +403,9 @@ def aggregate_extrafunctional(expr: NetExpr, store: BindingStore,
         right = aggregate_extrafunctional(expr.right, store, default_comm)
         comm = expr.comm if expr.comm is not None else default_comm
         fan_out = len(input_ends(expr.right)) > 1
-        return COMBINATOR_RULES["serial"](left, right, comm, fan_out)
+        return _serial_rule(left, right, comm, fan_out)
     models = [aggregate_extrafunctional(b, store, default_comm) for b in expr.branches]
-    return COMBINATOR_RULES["parallel"](models)
+    return _parallel_rule(models)
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +492,6 @@ def check_declaration(decl: BoxDeclaration) -> list[Diagnostic]:
         for pred in clause.conditions + clause.assertions:
             terms = (pred.lhs, pred.rhs)
             for t in terms:
-                from .terms import check_set_wellformed
                 v = check_set_wellformed(t)
                 if v:
                     out.append(Diagnostic(
@@ -633,8 +614,6 @@ class _NetExprParser:
 
 
 def _env_term(text: str, scope: Optional[VarScope] = None) -> Term:
-    from .terms import desugar
-
     return desugar(syntax.parse_term(text), scope or VarScope())
 
 
@@ -718,26 +697,31 @@ def parse_env_file(text: str) -> EnvSpec:
     return spec
 
 
+def instance_input_store(decl: BoxDeclaration, labels: tuple[str, ...], env: EnvSpec,
+                         base: Optional[BindingStore] = None) -> BindingStore:
+    """Bind the environment file's associations for one box instance.
+
+    ``labels`` are the names its ``BOX.`` lines may use (the instance
+    name and the box name).  A box-specific association wins over a
+    global one, and the first of several box-specific ones wins.
+    """
+    fields: dict[str, Term] = {}
+    for (box, name), term in env.fields.items():
+        if box in labels:
+            if name not in decl.object_vars:
+                raise NetworkError(f"box {decl.name} has no field {name!r}")
+            fields.setdefault(name, term)
+    specific: dict[str, Term] = {}
+    for (box, name), term in env.env.items():
+        if box in labels:
+            specific.setdefault(name, term)
+    return input_store(decl, fields, {**env.globals, **specific}, base)
+
+
 def network_input_store(net: Network, env: EnvSpec,
                         base: Optional[BindingStore] = None) -> BindingStore:
     """Bind the environment file's associations for every instance."""
     store = base if base is not None else BindingStore()
     for inst in net.instances():
-        for name, term in env.globals.items():
-            var = inst.decl.env_var(name)
-            if store.binding(var) is None:
-                store = store.bind(var, term)
-        for (box, fieldname), term in env.fields.items():
-            if box in (inst.name, inst.decl.name):
-                var = inst.decl.object_vars.get(fieldname)
-                if var is None:
-                    raise NetworkError(
-                        f"box {inst.decl.name} has no field {fieldname!r}")
-                if store.binding(var) is None:
-                    store = store.bind(var, term)
-        for (box, name), term in env.env.items():
-            if box in (inst.name, inst.decl.name):
-                var = inst.decl.env_var(name)
-                if store.binding(var) is None:
-                    store = store.bind(var, term)
+        store = instance_input_store(inst.decl, (inst.name, inst.decl.name), env, store)
     return store

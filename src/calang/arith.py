@@ -277,13 +277,14 @@ def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] =
                 return True, store.bind(target, Num(rhs_value))
             if rhs_value in (POS_INF, NEG_INF, UNKNOWN):
                 return True, store.bind(target, resolve(rhs, store))
-            if rhs_value.reason == SET_IN_ARITH and classify(resolve(rhs, store)) == SET:
-                if set_violation(rhs, store):
-                    return PredicateFailure(SET_IN_ARITH, set_violation(rhs, store))
+            if rhs_value.reason == SET_IN_ARITH and classify(rhs_set := resolve(rhs, store)) == SET:
+                violation = set_violation(rhs_set, store)
+                if violation:
+                    return PredicateFailure(SET_IN_ARITH, violation)
                 stores = unify(target, rhs, store, frozen)
                 if stores:
                     return True, stores[0]
-                return PredicateFailure(SET_IN_ARITH, term_text(resolve(rhs, store)))
+                return PredicateFailure(SET_IN_ARITH, term_text(rhs_set))
             return rhs_value
 
     lhs_value = eval_numeric(lhs, store, constants)

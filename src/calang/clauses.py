@@ -24,23 +24,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from . import syntax
-from .arith import DEFAULT_CONSTANTS, PredicateFailure, eval_relation
-from .syntax import Declaration, Pos, ProvidedBlock, SurfaceClause
-from .terms import (
-    ANONYMOUS,
-    ENVIRONMENT,
-    LOCAL,
-    OBJECT,
-    Num,
-    Sym,
-    Term,
-    Tup,
-    Var,
-    VarScope,
-    VarSupply,
-    desugar,
-    term_text,
-)
+from .arith import PredicateFailure, eval_relation
+from .syntax import Declaration, Pos, ProvidedBlock
+from .terms import ENVIRONMENT, Term, Var, VarScope, VarSupply, desugar, term_text
 from .unify import BindingStore, resolve, solution_snapshot, unify
 
 
@@ -345,13 +331,17 @@ def input_store(decl: BoxDeclaration, fields: dict[str, Term] = None,
                 env: dict[str, Term] = None,
                 base: Optional[BindingStore] = None) -> BindingStore:
     """Build the input store for :func:`evaluate_box` from field and
-    environment variable associations."""
+    environment variable associations.  A variable that ``base`` already
+    binds keeps its value."""
     store = base if base is not None else BindingStore()
     for name, term in (fields or {}).items():
         var = decl.object_vars.get(name)
         if var is None:
             raise KeyError(f"box {decl.name} has no field {name!r}")
-        store = store.bind(var, term)
+        if not store.is_bound(var):
+            store = store.bind(var, term)
     for name, term in (env or {}).items():
-        store = store.bind(decl.env_var(name), term)
+        var = decl.env_var(name)
+        if not store.is_bound(var):
+            store = store.bind(var, term)
     return store

@@ -15,11 +15,14 @@ from typing import Optional
 
 from . import aggregate as agg
 from . import horn, syntax
-from .clauses import BoxDeclaration, Diagnostic, evaluate_box, flatten_provided
-from .terms import ENVIRONMENT, VarSupply, term_text
+from .clauses import BoxDeclaration, Diagnostic, SemanticError, evaluate_box, flatten_provided
+from .terms import VarSupply, term_text
 from .unify import BindingStore, resolve
 
 _SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
+
+# Errors in the input files; each ends in an error report, not a traceback.
+_INPUT_ERRORS = (syntax.CalSyntaxError, SemanticError, agg.NetworkError, OSError)
 
 
 class Report:
@@ -119,7 +122,7 @@ def cmd_check(args) -> int:
     report = Report()
     try:
         decls = _load_boxes(args.files)
-    except (syntax.CalSyntaxError, OSError) as e:
+    except _INPUT_ERRORS as e:
         report.extend_diagnostics([Diagnostic("error", str(e))])
         return _emit(report, args)
     for decl in decls:
@@ -143,19 +146,8 @@ def cmd_eval(args) -> int:
                 f"no box named {args.box!r} in {args.calfile} "
                 f"(found: {', '.join(sorted(by_name)) or 'none'})")
         env = agg.parse_env_file(Path(args.env).read_text()) if args.env else agg.EnvSpec()
-        store = BindingStore()
-        for name, term in env.globals.items():
-            store = store.bind(decl.env_var(name), term)
-        for (box, fieldname), term in env.fields.items():
-            if box == decl.name:
-                var = decl.object_vars.get(fieldname)
-                if var is None:
-                    raise agg.NetworkError(f"box {decl.name} has no field {fieldname!r}")
-                store = store.bind(var, term)
-        for (box, name), term in env.env.items():
-            if box == decl.name:
-                store = store.bind(decl.env_var(name), term)
-    except (syntax.CalSyntaxError, agg.NetworkError, OSError) as e:
+        store = agg.instance_input_store(decl, (decl.name,), env)
+    except _INPUT_ERRORS as e:
         report.extend_diagnostics([Diagnostic("error", str(e))])
         return _emit(report, args)
 
@@ -169,7 +161,7 @@ def cmd_eval(args) -> int:
 def cmd_horn(args) -> int:
     try:
         decls = _load_boxes(args.files)
-    except (syntax.CalSyntaxError, OSError) as e:
+    except _INPUT_ERRORS as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
     text = horn.export_horn(decls)
@@ -186,7 +178,7 @@ def cmd_aggregate(args) -> int:
         netfile = agg.parse_network_file(Path(args.net).read_text(),
                                          base_dir=Path(args.net).parent)
         env = agg.parse_env_file(Path(args.env).read_text()) if args.env else agg.EnvSpec()
-    except (syntax.CalSyntaxError, agg.NetworkError, OSError) as e:
+    except _INPUT_ERRORS as e:
         report.extend_diagnostics([Diagnostic("error", str(e))])
         return _emit(report, args)
 

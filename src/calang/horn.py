@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .clauses import BoxDeclaration, Clause, Equivalence, Predicate, Relation
+from .clauses import BoxDeclaration, Clause, Predicate, Relation
 from .terms import HAT, MINUS, PLUS, SLASH, TIMES, UNION, Num, SetTerm, Sym, Term, Tup, Var
 
 _REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne"}

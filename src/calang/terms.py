@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import syntax
 
@@ -346,26 +346,52 @@ def check_set_wellformed(t: Term) -> Optional[str]:
     return None
 
 
+def iter_vars(t: Term) -> Iterator[Var]:
+    """Each variable occurrence in ``t``, left to right (a set's elements
+    before its union variables); ground subterms are skipped."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            yield t
+        elif not t.ground:
+            if isinstance(t, Tup):
+                stack.extend(reversed(t.members))
+            else:
+                stack.extend(reversed(t.union_vars))
+                stack.extend(reversed(t.elements))
+
+
+def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
+    """``t`` with each variable ``v`` replaced by ``f(v)``; ground subterms
+    are returned as they are.
+
+    A union variable replaced by a set merges into the enclosing set and
+    one replaced by a variable becomes that variable; one replaced by an
+    individual stays in place, so the well-formedness check can reject
+    it.
+    """
+    if isinstance(t, Var):
+        return f(t)
+    if t.ground:
+        return t
+    if isinstance(t, Tup):
+        return Tup(tuple(m if m.ground else map_vars(m, f) for m in t.members))
+    elements = [e if e.ground else map_vars(e, f) for e in t.elements]
+    union_vars: list[Var] = []
+    for v in t.union_vars:
+        r = f(v)
+        if isinstance(r, SetTerm):
+            elements.extend(r.elements)
+            union_vars.extend(r.union_vars)
+        else:
+            union_vars.append(r if isinstance(r, Var) else v)
+    return SetTerm(elements, union_vars)
+
+
 def free_vars(t: Term) -> list[Var]:
     """All variables occurring in ``t``, in order of first appearance."""
-    out: list[Var] = []
-
-    def walk(x: Term):
-        match x:
-            case Var():
-                if x not in out:
-                    out.append(x)
-            case Tup():
-                for m in x.members:
-                    walk(m)
-            case SetTerm():
-                for e in x.elements:
-                    walk(e)
-                for v in x.union_vars:
-                    walk(v)
-
-    walk(t)
-    return out
+    return list(dict.fromkeys(iter_vars(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ equality, so unsound choices are dropped; duplicates and strictly less
 general solutions are filtered at the end.  The enumeration is
 exponential in the set sizes, which is the intended trade: property sets
 are a handful of members.
+
+A solution is a :class:`BindingStore`, and so is the substitution the
+one-way matcher behind :func:`is_instance_of` threads: both are applied
+by :func:`resolve`.  Every walk over a term goes through
+:func:`calang.terms.map_vars` or :func:`calang.terms.iter_vars`.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .terms import (
+    ANONYMOUS,
     ENVIRONMENT,
     LOCAL,
     SET,
@@ -44,7 +50,8 @@ from .terms import (
     Tup,
     Var,
     classify,
-    free_vars,
+    iter_vars,
+    map_vars,
     term_text,
 )
 
@@ -113,54 +120,30 @@ class BindingStore:
 def resolve(term: Term, store: BindingStore) -> Term:
     """Apply the store to a term, recursively.
 
-    Bound union variables merge their set values into the enclosing set;
-    a union variable bound to an individual is left in place for the
-    well-formedness check to reject.  Ground terms are returned as they
-    are, not rebuilt.
+    Bound union variables merge their set values into the enclosing set,
+    or become the variable they are bound to; a union variable bound to
+    an individual is left in place for the well-formedness check to
+    reject.  Ground terms are returned as they are, not rebuilt.
     """
-    match term:
-        case Var():
-            b = store.binding(term)
-            return resolve(b, store) if b is not None else term
-        case Tup():
-            if term.ground:
-                return term
-            return Tup(tuple(m if m.ground else resolve(m, store) for m in term.members))
-        case SetTerm():
-            if term.ground:
-                return term
-            elements = [e if e.ground else resolve(e, store) for e in term.elements]
-            union_vars: list[Var] = []
-            for v in term.union_vars:
-                b = store.binding(v)
-                if b is None:
-                    union_vars.append(v)
-                    continue
-                r = resolve(b, store)
-                if isinstance(r, SetTerm):
-                    elements.extend(r.elements)
-                    union_vars.extend(r.union_vars)
-                else:
-                    union_vars.append(v)
-            return SetTerm(elements, union_vars)
-        case _:
-            return term
+    binding = store._bindings.get  # resolve is the hottest path; skip a call
+
+    def lookup(v: Var) -> Term:
+        b = binding(v)
+        return v if b is None else map_vars(b, lookup)
+
+    return map_vars(term, lookup)
 
 
 def occurs_in(var: Var, term: Term, store: BindingStore) -> bool:
-    match term:
-        case Var():
-            if term == var:
-                return True
-            b = store.binding(term)
-            return occurs_in(var, b, store) if b is not None else False
-        case Tup():
-            return any(occurs_in(var, m, store) for m in term.members)
-        case SetTerm():
-            return any(occurs_in(var, e, store) for e in term.elements) or any(
-                occurs_in(var, v, store) for v in term.union_vars)
-        case _:
-            return False
+    """True when ``var`` occurs in ``term``, following the store's
+    bindings."""
+    for v in iter_vars(term):
+        if v == var:
+            return True
+        b = store.binding(v)
+        if b is not None and occurs_in(var, b, store):
+            return True
+    return False
 
 
 def _bind(store: BindingStore, var: Var, term: Term,
@@ -172,10 +155,10 @@ def _bind(store: BindingStore, var: Var, term: Term,
     return store.bind(var, term)
 
 
-def set_violation(t: Term, store: BindingStore) -> Optional[str]:
-    """Well-formedness of a set under a store: resolved elements must be
-    individuals and union variables must be unbound or set-valued."""
-    r = resolve(t, store)
+def set_violation(r: Term, store: BindingStore) -> Optional[str]:
+    """Well-formedness of a set already resolved under ``store``: its
+    elements must be individuals, and a union variable still in it must
+    be unbound (resolution leaves one bound to an individual in place)."""
     if not isinstance(r, SetTerm):
         return None
     for e in r.elements:
@@ -194,9 +177,8 @@ def _set_view(t: Term, store: BindingStore) -> Optional[SetTerm]:
     structure yields None, which callers turn into failure.
     """
     if isinstance(t, SetTerm):
-        if set_violation(t, store):
-            return None
-        return resolve(t, store)
+        r = resolve(t, store)
+        return None if set_violation(r, store) else r
     if isinstance(t, Var):
         b = store.binding(t)
         return _set_view(b, store) if b is not None else None
@@ -212,10 +194,9 @@ def _set_view(t: Term, store: BindingStore) -> Optional[SetTerm]:
                 return None
             elements.extend(view.elements)
             union_vars.extend(view.union_vars)
-        merged = resolve(SetTerm(elements, union_vars), store)
-        if set_violation(merged, store):
-            return None
-        return merged
+        # The views are resolved and the other operands unbound.
+        merged = SetTerm(elements, union_vars)
+        return None if set_violation(merged, store) else merged
     return None
 
 
@@ -428,53 +409,43 @@ def _subsets(items: list) -> list[tuple]:
 # ---------------------------------------------------------------------------
 
 def _relevant_vars(terms: Iterable[Term], store: BindingStore) -> list[Var]:
-    out: list[Var] = []
+    out: dict[Var, None] = {}
     for t in terms:
-        for v in free_vars(resolve(t, store)):
-            if v not in out and store.binding(v) is None:
-                out.append(v)
-    return out
-
-
-def _canonical(t: Term, rename: dict[Var, object], keep: frozenset[Var]):
-    """A hashable shape of a term with generated/irrelevant variables
-    replaced by first-appearance indices, so alpha-equivalent solutions
-    compare equal."""
-    match t:
-        case Num():
-            return ("num", t.value)
-        case Sym():
-            return ("sym", t.name)
-        case Var():
-            if t in keep:
-                return ("var", t.vid)
-            if t not in rename:
-                rename[t] = ("fresh", len(rename))
-            return rename[t]
-        case Tup():
-            return ("tup", tuple(_canonical(m, rename, keep) for m in t.members))
-        case SetTerm():
-            elems = frozenset(_canonical(e, rename, keep) for e in t.elements)
-            uvars = frozenset(_canonical(v, rename, keep) for v in t.union_vars)
-            return ("set", elems, uvars)
-    raise TypeError(f"not a term: {t!r}")
+        for v in iter_vars(resolve(t, store)):
+            if store.binding(v) is None:
+                out[v] = None
+    return list(out)
 
 
 def solution_snapshot(store: BindingStore, rvars: list[Var]) -> tuple:
-    """A hashable fingerprint of what a solution says about ``rvars``."""
-    rename: dict[Var, object] = {}
+    """A hashable fingerprint of what a solution says about ``rvars``.
+
+    Every other variable in the resolved values becomes a placeholder
+    numbered by first appearance, so alpha-equivalent solutions compare
+    equal.
+    """
     keep = frozenset(rvars)
-    return tuple(_canonical(resolve(v, store), rename, keep) for v in rvars)
+    placeholders: dict[Var, Var] = {}
+
+    def placeholder(v: Var) -> Var:
+        if v in keep:
+            return v
+        if v not in placeholders:
+            placeholders[v] = Var(("snapshot", len(placeholders)), "_", ANONYMOUS)
+        return placeholders[v]
+
+    return tuple(map_vars(resolve(v, store), placeholder) for v in rvars)
 
 
 # -- one-way matching (instance checks) -------------------------------------
 #
-# ``_match(pattern, target, sub)`` yields substitutions for the pattern's
-# variables only: target variables are opaque and can appear in bindings
-# but never be bound.  This is what "target is an instance of pattern"
-# means, and reusing the symmetric unifier here would over-approximate.
-# Everything is a lazy generator so an existence check stops at the first
-# witness.
+# ``_match(pattern, target, sub)`` yields extensions of the store ``sub``
+# that bind the pattern's variables only: target variables are opaque and
+# can appear in bindings but never be bound.  This is what "target is an
+# instance of pattern" means, and reusing the symmetric unifier here would
+# over-approximate.  Matching threads the same ``BindingStore`` as
+# unification, and ``resolve`` applies it.  Everything is a lazy generator
+# so an existence check stops at the first witness.
 
 def _opaque(v: Var) -> bool:
     # Target-side variables (renamed into the "m" space) are constants
@@ -482,34 +453,23 @@ def _opaque(v: Var) -> bool:
     return v.vid[0] == "m"
 
 
-def _match(pattern: Term, target: Term, sub: dict[Var, Term]):
-    while isinstance(pattern, Var) and pattern in sub:
-        pattern = sub[pattern]
+def _match(pattern: Term, target: Term, sub: BindingStore):
+    while isinstance(pattern, Var) and (b := sub.binding(pattern)) is not None:
+        pattern = b
     if isinstance(pattern, Var):
         if _opaque(pattern):
             if pattern == target:
                 yield sub
         else:
-            new = dict(sub)
-            new[pattern] = target
-            yield new
+            yield sub.bind(pattern, target)
         return
     match pattern, target:
         case (Num(), Num()) | (Sym(), Sym()):
             if pattern == target:
                 yield sub
         case (Tup(), Tup()):
-            if len(pattern.members) != len(target.members):
-                return
-
-            def members(i, s):
-                if i == len(pattern.members):
-                    yield s
-                    return
-                for s2 in _match(pattern.members[i], target.members[i], s):
-                    yield from members(i + 1, s2)
-
-            yield from members(0, sub)
+            if len(pattern.members) == len(target.members):
+                yield from _match_all(pattern.members, target.members, sub)
         case (SetTerm(), SetTerm()):
             yield from _match_sets(pattern, target, sub)
         case (SetTerm(), Var()):
@@ -518,36 +478,21 @@ def _match(pattern: Term, target: Term, sub: dict[Var, Term]):
                 yield from _match(pattern.union_vars[0], SetTerm((), (target,)), sub)
 
 
-def _apply_sub(t: Term, sub: dict[Var, Term]) -> Term:
-    match t:
-        case Var():
-            r = sub.get(t)
-            return _apply_sub(r, sub) if r is not None else t
-        case Tup():
-            return Tup(tuple(_apply_sub(m, sub) for m in t.members))
-        case SetTerm():
-            elements = [_apply_sub(e, sub) for e in t.elements]
-            uvars: list[Var] = []
-            for v in t.union_vars:
-                r = _apply_sub(v, sub)
-                if isinstance(r, SetTerm):
-                    elements.extend(r.elements)
-                    uvars.extend(r.union_vars)
-                elif isinstance(r, Var):
-                    uvars.append(r)
-                else:
-                    elements.append(r)  # ill-formed; matching will reject
-            return SetTerm(elements, uvars)
-        case _:
-            return t
+def _match_all(patterns, targets, sub: BindingStore):
+    """Match each pattern to its target, threading one store through."""
+    if not patterns:
+        yield sub
+        return
+    for s in _match(patterns[0], targets[0], sub):
+        yield from _match_all(patterns[1:], targets[1:], s)
 
 
 def _bindable_free(t: Term) -> bool:
-    return any(not _opaque(v) for v in free_vars(t))
+    return any(not _opaque(v) for v in iter_vars(t))
 
 
-def _match_sets(pattern: SetTerm, target: SetTerm, sub: dict[Var, Term]):
-    pattern = _apply_sub(SetTerm(pattern.elements, pattern.union_vars), sub)
+def _match_sets(pattern: SetTerm, target: SetTerm, sub: BindingStore):
+    pattern = resolve(pattern, sub)
     if not _bindable_free(pattern):
         # Nothing left to bind: plain set equality decides.
         if pattern == target:
@@ -588,13 +533,13 @@ def _match_sets(pattern: SetTerm, target: SetTerm, sub: dict[Var, Term]):
 
     def assign(items, k, s, values):
         if k == len(items):
-            final = dict(s)
+            final = s
             for v in Vp:
-                if v not in final:
-                    final[v] = SetTerm(values[v][0], values[v][1])
                 # a pre-bound variable keeps its value; the verification
                 # below decides whether this distribution works
-            if _apply_sub(pattern, final) == target:
+                if not final.is_bound(v):
+                    final = final.bind(v, SetTerm(values[v][0], values[v][1]))
+            if resolve(pattern, final) == target:
                 yield final
             return
         kind, item, required = items[k]
@@ -624,21 +569,12 @@ def _rename_apart(terms: list[Term]) -> list[Term]:
     """
     mapping: dict[Var, Var] = {}
 
-    def walk(t: Term) -> Term:
-        match t:
-            case Var():
-                if t not in mapping:
-                    mapping[t] = Var(("m", len(mapping)), t.name, t.category)
-                return mapping[t]
-            case Tup():
-                return Tup(tuple(walk(m) for m in t.members))
-            case SetTerm():
-                return SetTerm([walk(e) for e in t.elements],
-                               [walk(v) for v in t.union_vars])
-            case _:
-                return t
+    def rename(v: Var) -> Var:
+        if v not in mapping:
+            mapping[v] = Var(("m", len(mapping)), v.name, v.category)
+        return mapping[v]
 
-    return [walk(t) for t in terms]
+    return [map_vars(t, rename) for t in terms]
 
 
 def is_instance_of(specific: list[Term], general: list[Term]) -> bool:
@@ -651,18 +587,10 @@ def is_instance_of(specific: list[Term], general: list[Term]) -> bool:
     elements already cover: ``[{b} \\/ H, {a, b} \\/ H]`` is an instance
     of ``[{b} \\/ G, {a} \\/ G]`` by ``G := {b} \\/ H``.
     """
-    if not any(free_vars(g) for g in general):
+    if all(g.ground for g in general):
         return list(specific) == list(general)
     specific = _rename_apart(specific)
-
-    def thread(i, sub):
-        if i == len(general):
-            yield sub
-            return
-        for s2 in _match(general[i], specific[i], sub):
-            yield from thread(i + 1, s2)
-
-    return next(thread(0, {}), None) is not None
+    return next(_match_all(general, specific, BindingStore()), None) is not None
 
 
 def _prune(stores: list[BindingStore], base: BindingStore,
@@ -683,7 +611,7 @@ def _prune(stores: list[BindingStore], base: BindingStore,
     if len(kept) <= 1:
         return kept
 
-    has_free = [any(free_vars(v) for v in vals) for vals in values]
+    has_free = [not all(v.ground for v in vals) for vals in values]
     drop: set[int] = set()
     for i in range(len(kept)):
         if i in drop or not has_free[i]:

@@ -161,6 +161,17 @@ class TestFireClause:
         assert ev.branches == []
         assert any(d.severity == "warning" for d in ev.diagnostics)
 
+    def test_union_variable_aliased_either_way(self):
+        # The variable named second has the larger id and is the one bound,
+        # so v := w in one clause and w := v in the other.  Either way
+        # {a} \/ $v must still unify with {a, b}.
+        for alias in ("$w :=: $v", "$v :=: $w"):
+            box = parse_box(f"box X ((i) -> (q)): => {alias}, "
+                            "$q :=: {a} \\/ $v, $q :=: {a, b};")
+            ev = evaluate_box(box)
+            assert len(ev.branches) == 2, alias
+            assert not [d for d in ev.diagnostics if d.severity == "warning"], alias
+
 
 class TestEvaluateBox:
     def test_mybox_large_k(self, mybox_source):

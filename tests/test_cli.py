@@ -12,6 +12,17 @@ def run(capsys, *argv):
     return code, out
 
 
+# A signature naming one field twice: it parses, then flattening rejects it.
+DUPLICATE_FIELD_BOX = "box X ((a,a) -> (b)): => $b :=: {};\n"
+
+
+@pytest.fixture
+def duplicate_field_cal(tmp_path):
+    f = tmp_path / "dup.cal"
+    f.write_text(DUPLICATE_FIELD_BOX)
+    return f
+
+
 MYBOX_ENV_500 = """\
 $$nthreads = 4
 MYBOX.$a = {Type(array, element(real), rank(2), shape(7,(7,nil))), packed(row_major)}
@@ -47,6 +58,12 @@ class TestCheck:
         code, out = run(capsys, "check", str(f))
         assert code == 1
         assert "status: errors" in out
+
+    def test_semantic_error_is_reported(self, capsys, duplicate_field_cal):
+        code, out = run(capsys, "check", str(duplicate_field_cal))
+        assert code == 1
+        assert "status: errors" in out
+        assert "error: line 1, column 1: duplicate field name 'a' in signature" in out
 
 
 class TestEval:
@@ -84,6 +101,11 @@ class TestEval:
             assert f"{key} = {value}" in text_out
         assert data["status"] in text_out
 
+    def test_semantic_error_is_reported(self, capsys, duplicate_field_cal):
+        code, out = run(capsys, "eval", str(duplicate_field_cal), "X")
+        assert code == 1
+        assert "duplicate field name 'a' in signature" in out
+
 
 class TestHorn:
     def test_deterministic_output(self, capsys, fixtures_dir):
@@ -105,6 +127,14 @@ class TestHorn:
         code, out = run(capsys, "horn", str(f))
         assert code == 0
         assert "% box b" in out
+
+    def test_semantic_error_is_reported(self, capsys, duplicate_field_cal):
+        code = main(["horn", str(duplicate_field_cal)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: line 1, column 1: duplicate field name 'a' in signature\n")
 
 
 class TestAggregate:
@@ -144,6 +174,27 @@ class TestAggregate:
                         "--env", str(env))
         assert code == 0
         assert "A: $y = {Type(int), value(8)}" in out
+
+    def test_box_specific_env_wins_in_eval_and_aggregate(self, capsys, fixtures_dir, tmp_path):
+        (tmp_path / "mybox.cal").write_text((fixtures_dir / "mybox.cal").read_text())
+        (tmp_path / "one.net").write_text("use mybox.cal\nnet m = MYBOX\n")
+        env = tmp_path / "both.env"
+        env.write_text(MYBOX_ENV_500 + "MYBOX.$$nthreads = 8\n")
+        code, out = run(capsys, "eval", str(tmp_path / "mybox.cal"), "MYBOX",
+                        "--env", str(env))
+        assert code == 0
+        assert "  $$nthreads = 8" in out
+        code, out = run(capsys, "aggregate", "--net", str(tmp_path / "one.net"),
+                        "--env", str(env))
+        assert code == 0
+        assert "MYBOX: $$nthreads = 8" in out
+
+    def test_semantic_error_in_library_is_reported(self, capsys, duplicate_field_cal):
+        net = duplicate_field_cal.parent / "dup.net"
+        net.write_text("use dup.cal\nnet m = X\n")
+        code, out = run(capsys, "aggregate", "--net", str(net))
+        assert code == 1
+        assert "duplicate field name 'a' in signature" in out
 
     def test_deterministic_byte_identical(self, capsys, fixtures_dir):
         outs = []

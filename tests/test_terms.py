@@ -27,6 +27,8 @@ from calang.terms import (
     desugar,
     free_vars,
     fresh_variable,
+    iter_vars,
+    map_vars,
     term_text,
 )
 
@@ -234,6 +236,42 @@ class TestSetTermEquality:
         assert not SetTerm([a], [x]).ground
         assert not SetTerm([Tup((x,))]).ground
         assert SetTerm().ground
+
+
+class TestTraversal:
+    a, b = Sym("a"), Sym("b")
+    x, y = Var(("t", 1), "x", LOCAL), Var(("t", 2), "y", LOCAL)
+    v, w = Var(("t", 3), "v", LOCAL), Var(("t", 4), "w", LOCAL)
+
+    def test_iter_vars_left_to_right_with_repeats(self):
+        t = Tup((self.x, SetTerm([Tup((self.y, self.a)), self.x], [self.v]), self.w))
+        assert list(iter_vars(t)) == [self.x, self.y, self.x, self.v, self.w]
+        assert free_vars(t) == [self.x, self.y, self.v, self.w]
+
+    def test_map_vars_union_variable_rules(self):
+        t = SetTerm([self.a], [self.v])
+        to_set = {self.v: SetTerm([self.b], [self.w])}
+        assert map_vars(t, lambda u: to_set.get(u, u)) == SetTerm([self.a, self.b], [self.w])
+        assert map_vars(t, lambda u: self.w) == SetTerm([self.a], [self.w])
+        # An individual cannot join a union: the variable stays in place.
+        assert map_vars(t, lambda u: self.b) == t
+
+    def test_map_vars_replaces_element_variables(self):
+        t = Tup((self.x, SetTerm([self.x, self.a])))
+        assert map_vars(t, lambda u: self.b) == Tup((self.b, SetTerm([self.b, self.a])))
+
+
+GROUND_TERMS = st.recursive(
+    st.sampled_from([Sym("a"), Sym("b"), Num(Fraction(1, 2))]),
+    lambda children: (st.lists(children, max_size=3).map(lambda ms: Tup(tuple(ms)))
+                      | st.lists(children, max_size=3).map(SetTerm)),
+    max_leaves=8)
+
+
+@given(GROUND_TERMS)
+def test_map_vars_returns_ground_term_itself(t):
+    assert map_vars(t, lambda u: u) is t
+    assert list(iter_vars(t)) == []
 
 
 class TestTermText:

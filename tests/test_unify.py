@@ -11,6 +11,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from calang.terms import (
     LOCAL,
@@ -20,6 +21,7 @@ from calang.terms import (
     Tup,
     Var,
     free_vars,
+    map_vars,
     term_text,
 )
 from calang.unify import (
@@ -155,6 +157,85 @@ class TestResolve:
         assert r == Tup((a, Tup((c, b))))
         assert r.ground and not t.ground
 
+    def test_union_variable_aliased_to_variable(self):
+        s = BindingStore().bind(v, w)
+        assert resolve(SetTerm([a], [v]), s) == SetTerm([a], [w])
+
+    def test_union_variable_bound_to_individual_stays(self):
+        s = BindingStore().bind(v, b)
+        assert resolve(SetTerm([a], [v]), s) == SetTerm([a], [v])
+
+
+# -- properties over random terms and acyclic stores -------------------------
+
+# Binding order: a variable is bound only to terms over variables after it.
+ELEMENT_VARS = [lv(f"x{i}", 20 + i) for i in range(3)]
+UNION_VARS = [lv(f"v{i}", 30 + i) for i in range(3)]
+ORDERED_VARS = [u for pair in zip(ELEMENT_VARS, UNION_VARS) for u in pair]
+
+
+def union_lists(union_vars):
+    return st.lists(st.sampled_from(union_vars), max_size=2) if union_vars else st.just([])
+
+
+def terms_over(element_vars, union_vars):
+    leaves = st.sampled_from([a, b, c, Num(Fraction(1)), *element_vars])
+
+    def extend(children):
+        return (st.lists(children, min_size=1, max_size=3).map(lambda ms: Tup(tuple(ms)))
+                | st.builds(SetTerm, st.lists(children, max_size=3), union_lists(union_vars)))
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def binding_values(i):
+    """Values for the i-th variable, over the variables after it; union
+    variables get sets or union variables only, so resolution leaves no
+    bound variable behind.  None leaves the variable unbound."""
+    later = ORDERED_VARS[i + 1:]
+    xs = [u for u in later if u in ELEMENT_VARS]
+    vs = [u for u in later if u in UNION_VARS]
+    if ORDERED_VARS[i] in UNION_VARS:
+        values = (st.builds(SetTerm, st.lists(terms_over(xs, vs), max_size=2), union_lists(vs))
+                  | st.sampled_from(vs or [SetTerm()]))
+    else:
+        values = terms_over(xs, vs)
+    return st.none() | values
+
+
+def build_store(values):
+    s = BindingStore()
+    for var, value in zip(ORDERED_VARS, values):
+        if value is not None:
+            s = s.bind(var, value)
+    return s
+
+
+STORES = st.tuples(*map(binding_values, range(len(ORDERED_VARS)))).map(build_store)
+ANY_TERM = terms_over(ELEMENT_VARS, UNION_VARS)
+
+
+@given(ANY_TERM, STORES)
+def test_resolve_is_idempotent(t, s):
+    r = resolve(t, s)
+    assert resolve(r, s) == r
+
+
+@given(ANY_TERM, STORES)
+def test_resolved_term_has_no_bound_variable(t, s):
+    assert not any(s.is_bound(u) for u in free_vars(resolve(t, s)))
+
+
+@given(STORES, st.lists(st.sampled_from(ORDERED_VARS), min_size=1, max_size=4))
+def test_snapshot_ignores_names_of_other_variables(s, kept):
+    kept = list(dict.fromkeys(kept))
+
+    def rename(u):
+        return u if u in kept else Var(("r", u.vid[1]), u.name + "_r", u.category)
+
+    renamed = BindingStore({rename(k): map_vars(t, rename) for k, t in s.items()})
+    assert solution_snapshot(renamed, kept) == solution_snapshot(s, kept)
+
 
 class TestUnifyBasics:
     def test_variable_binds_to_number(self):
@@ -253,6 +334,13 @@ class TestUnifySets:
             assert resolve(n_var, s) == Num(Fraction(7))
             assert resolve(m_var, s) == Num(Fraction(7))
 
+    def test_union_variable_aliased_to_variable(self):
+        # v := w leaves v standing for whatever w will be.
+        aliased = BindingStore().bind(v, w)
+        sols = unify(SetTerm([a], [v]), SetTerm([a, b]), aliased)
+        assert len(sols) == len(unify(SetTerm([a], [v]), SetTerm([a, b]))) == 2
+        assert {term_text(resolve(v, s)) for s in sols} == {"{b}", "{b, a}"}
+
     def test_union_vars_both_sides_share_remainder(self):
         (s,) = unify_sets(SetTerm([a], [v]), SetTerm([], [w]), BindingStore())
         rv, rw = resolve(v, s), resolve(w, s)
@@ -287,6 +375,11 @@ class TestMaximalGenerality:
         converse_general = [SetTerm([b], [h]), SetTerm([a, b], [h])]
         converse_specific = [SetTerm([b], [g]), SetTerm([a], [g])]
         assert not is_instance_of(converse_specific, converse_general)
+
+    def test_instance_check_rejects_individual_union_value(self):
+        # x := b would make {a} \/ x the ill-formed {a} \/ b, not {a, b}.
+        assert not is_instance_of([b, SetTerm([a, b])], [x, SetTerm([a], [x])])
+        assert is_instance_of([SetTerm([b]), SetTerm([a, b])], [v, SetTerm([a], [v])])
 
     def test_no_solution_subsumes_another(self):
         cases = [
