@@ -26,7 +26,7 @@ from .terms import (
     SET,
     SLASH,
     TIMES,
-    UNION,
+    UNION_SYM,
     Num,
     SetTerm,
     Sym,
@@ -205,7 +205,7 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None,
         case Tup():
             if not t.members:
                 return PredicateFailure(UNKNOWN_FUNCTION, "()")
-            if t.head == Sym(UNION):
+            if t.head == UNION_SYM:
                 return PredicateFailure(SET_IN_ARITH, term_text(t))
             head = t.head
             if isinstance(head, Var):

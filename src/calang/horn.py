@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .clauses import BoxDeclaration, Clause, Predicate, Relation
-from .terms import HAT, MINUS, PLUS, SLASH, TIMES, UNION, Num, SetTerm, Sym, Term, Tup, Var
+from .terms import HAT, MINUS, PLUS, SLASH, TIMES, UNION, UNION_SYM, Num, SetTerm, Sym, Term, Tup, Var
 
 _REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne"}
 _OP_NAMES = {PLUS: "plus", MINUS: "minus", TIMES: "times", SLASH: "slash", HAT: "hat",
@@ -67,7 +67,7 @@ def _functor_term(t: Term, names: dict[Var, str], suffix: str) -> str:
             for v in t.union_vars:
                 inner = f"union({inner}, {_functor_term(v, names, suffix)})"
             return inner
-        case Tup() if t.members and t.head == Sym(UNION):
+        case Tup() if t.members and t.head == UNION_SYM:
             inner = _functor_term(t.members[1], names, suffix)
             for op in t.members[2:]:
                 inner = f"union({inner}, {_functor_term(op, names, suffix)})"
@@ -91,17 +91,6 @@ def _functor_pred(p: Predicate, names: dict[Var, str], suffix: str) -> str:
             f"{_functor_term(p.rhs, names, suffix)})")
 
 
-def render_horn_clause(hc: HornClause, suffix: str,
-                       names: dict[Var, str] | None = None) -> str:
-    if names is None:
-        names = {}
-    head = _functor_pred(hc.head, names, suffix)
-    if not hc.body:
-        return f"{head}."
-    body = ", ".join(_functor_pred(p, names, suffix) for p in hc.body)
-    return f"{head} :- {body}."
-
-
 def export_horn(decls: Iterable[BoxDeclaration]) -> str:
     """Deterministic textual export of flattened declarations.
 
@@ -118,9 +107,16 @@ def export_horn(decls: Iterable[BoxDeclaration]) -> str:
             serial += 1
             origin = f"{decl.name} clause {ci + 1}"
             lines.append(f"% {origin} ({clause.pos})")
+            suffix = str(serial)
             names: dict[Var, str] = {}
+            body = None
             for hc in to_horn(clause, origin):
-                lines.append(render_horn_clause(hc, str(serial), names))
+                head = _functor_pred(hc.head, names, suffix)
+                # Rendered after the first head, so every body variable is
+                # named by then; later heads leave the body text unchanged.
+                if body is None:
+                    body = ", ".join(_functor_pred(p, names, suffix) for p in hc.body)
+                lines.append(f"{head} :- {body}." if body else f"{head}.")
         if not decl.clauses:
             lines.append("% (no clauses)")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,17 @@
 """Surface syntax of CAL box declarations.
 
-This module owns the textual side of the language: a hand-written lexer,
-a recursive-descent parser producing a surface AST, and a canonical
-renderer such that ``parse(render(ast))`` is structurally equal to ``ast``.
+This module owns the textual side of the language: a lexer, a parser
+producing a surface AST, and a canonical renderer such that
+``parse(render(ast))`` is structurally equal to ``ast``.
+
+The lexer matches one compiled regular expression, an alternation with
+one branch per token class, repeatedly from the start of the text.  The
+parser is recursive descent for declarations and precedence climbing for
+terms; one table, ``_BINARY_PREC`` with ``_UNARY_PREC``, gives the
+binding strength of every operator to both the parser and the renderer.
+Terms nested deeper than ``MAX_TERM_DEPTH`` levels are a syntax error,
+so that every recursive walk over a term stays far from Python's
+recursion limit.
 
 The surface AST keeps syntactic sugar intact (infix operators, head
 extraction, unary signs); lowering to the core term algebra happens in
@@ -22,14 +31,17 @@ Accepted leniencies beyond the base grammar, all deliberate:
 * Set literals may be empty, and may syntactically contain set members
   (the well-formedness check in the terms module flags those; predicates
   using them fail at evaluation time rather than at parse time).
-* Unary ``+``/``-`` is allowed wherever an operand is expected.
+* Unary ``+``/``-`` may start a term or an operand of ``\\/``, ``+`` or
+  ``-`` (not one of ``*``, ``/`` or ``^``), and covers the product after
+  it.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 KEYWORDS = frozenset({"box", "provided", "use", "end"})
 REL_OPS = frozenset({"=", ">", "<", ">=", "<=", "!="})
@@ -48,9 +60,14 @@ PUNCT = "punct"          # ( ) { } , ; :
 INFIX = "infix-sign"     # + - * / ^ \/
 EOF = "eof"
 
+# A term may nest this many levels deep as written: each bracket, head
+# argument list, unary sign and binary operator adds one.  Walking such a
+# term recursively takes a few hundred frames at most, well under
+# Python's default limit of 1000.
+MAX_TERM_DEPTH = 200
 
-@dataclass(frozen=True)
-class Pos:
+
+class Pos(NamedTuple):
     line: int
     col: int
 
@@ -58,8 +75,7 @@ class Pos:
         return f"line {self.line}, column {self.col}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     pos: Pos
@@ -83,12 +99,37 @@ class CalSyntaxError(Exception):
 # Lexer
 # ---------------------------------------------------------------------------
 
+# Each match is a run of whitespace, possibly empty, and one token: a
+# comment, a name, a number, a variable, a multi-character operator, or
+# any other single character, which the operator table or an error
+# covers.  \s, \w and \d are Unicode classes: \s is str.isspace, \w is
+# str.isalnum or "_", and \d is the decimal digits that int() accepts.
+# A name starts with a letter (str.isalpha) or "_"; [^\W\d] also admits
+# digits and numerals that are not decimal, such as "²", which tokenize
+# rejects there.  The scan ends at the last token: whitespace with no token
+# after it matches nothing, and findall would retry it from every offset.
+_TOKEN_RE = re.compile(r"""
+    (\s*)
+    (   --[^\n]*
+      | [^\W\d]\w*
+      | \d+(?:/\d+)?
+      | \$\$?[^\W\d]\w*
+      | :=: | [-=]> | [<>!]= | \\/
+      | \S
+    )""", re.VERBOSE)
+
+_OPERATOR_KIND = {
+    ":=:": EQUIVOP, "->": ARROW, "=>": ARROW,
+    **dict.fromkeys(REL_OPS, RELOP),
+    **dict.fromkeys(("+", "-", "*", "/", "^", "\\/"), INFIX),
+    **dict.fromkeys("(){},;:", PUNCT),
+}
+
+_new = tuple.__new__  # builds a Pos or Token without the keyword-argument __new__
+
+
 def _is_name_start(c: str) -> bool:
     return c.isalpha() or c == "_"
-
-
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c == "_"
 
 
 def tokenize(source: str) -> list[Token]:
@@ -99,126 +140,51 @@ def tokenize(source: str) -> list[Token]:
     its position.
     """
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    line, col = 1, 1
-
-    def pos() -> Pos:
-        return Pos(line, col)
-
-    def advance(k: int = 1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def peek(offset: int = 0) -> str:
-        j = i + offset
-        return source[j] if j < n else ""
-
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            advance()
+    append = tokens.append
+    line, line_start, offset = 1, 0, 0  # line_start: offset of the line's first character
+    for space, text in _TOKEN_RE.findall(source, 0, len(source.rstrip())):
+        if space:
+            if "\n" in space:
+                line += space.count("\n")
+                line_start = offset + space.rindex("\n") + 1
+            offset += len(space)
+        pos = _new(Pos, (line, offset - line_start + 1))
+        offset += len(text)
+        kind = _OPERATOR_KIND.get(text)
+        if kind is not None:
+            append(_new(Token, (kind, text, pos, None)))
             continue
-        if c == "-" and peek(1) == "-":
-            while i < n and source[i] != "\n":
-                advance()
-            continue
-
-        start = pos()
-
+        c = text[0]
         if c == "$":
-            dollars = 1
-            if peek(1) == "$":
-                dollars = 2
-            j = i + dollars
-            if j >= n or not _is_name_start(source[j]):
-                raise CalSyntaxError("'$' must be followed by a letter or underscore", start)
-            k = j
-            while k < n and _is_name_char(source[k]):
-                k += 1
-            name = source[j:k]
-            text = source[i:k]
-            if dollars == 1 and name == "_":
-                kind = ANON_VARIABLE
-            elif dollars == 2:
+            dollars = 2 if text[1:2] == "$" else 1
+            name = text[dollars:]
+            if not name or not _is_name_start(name[0]):
+                raise CalSyntaxError("'$' must be followed by a letter or underscore", pos)
+            if dollars == 2:
                 kind = ENV_VARIABLE
+            elif name == "_":
+                kind = ANON_VARIABLE
             else:
                 kind = VARIABLE
-            tokens.append(Token(kind, text, start, (name, dollars)))
-            advance(k - i)
-            continue
-
-        if c.isdigit():
-            k = i
-            while k < n and source[k].isdigit():
-                k += 1
-            num_text = source[i:k]
-            # "n/d" with no intervening space is a single rational literal.
-            if k < n and source[k] == "/" and k + 1 < n and source[k + 1].isdigit():
-                k += 1
-                d0 = k
-                while k < n and source[k].isdigit():
-                    k += 1
-                den = source[d0:k]
-                if int(den) == 0:
-                    raise CalSyntaxError(f"rational literal {source[i:k]!r} has a zero denominator", start)
-                value = Fraction(int(num_text), int(den))
-                tokens.append(Token(NUMBER, source[i:k], start, value))
-            else:
-                tokens.append(Token(NUMBER, num_text, start, Fraction(int(num_text))))
-            advance(k - i)
-            continue
-
-        if _is_name_start(c):
-            k = i
-            while k < n and _is_name_char(source[k]):
-                k += 1
-            word = source[i:k]
-            kind = KEYWORD if word in KEYWORDS else IDENT
-            tokens.append(Token(kind, word, start))
-            advance(k - i)
-            continue
-
-        two = source[i:i + 2]
-        three = source[i:i + 3]
-        if three == ":=:":
-            tokens.append(Token(EQUIVOP, three, start))
-            advance(3)
-            continue
-        if two in ("->", "=>"):
-            tokens.append(Token(ARROW, two, start))
-            advance(2)
-            continue
-        if two in (">=", "<=", "!="):
-            tokens.append(Token(RELOP, two, start))
-            advance(2)
-            continue
-        if two == "\\/":
-            tokens.append(Token(INFIX, two, start))
-            advance(2)
-            continue
-        if c == "\\":
-            raise CalSyntaxError("stray '\\' (the only backslash token is '\\/')", start)
-        if c in "=><":
-            tokens.append(Token(RELOP, c, start))
-            advance()
-            continue
-        if c in "+-*/^":
-            tokens.append(Token(INFIX, c, start))
-            advance()
-            continue
-        if c in "(){},;:":
-            tokens.append(Token(PUNCT, c, start))
-            advance()
-            continue
-        raise CalSyntaxError(f"unexpected character {c!r}", start)
-
-    tokens.append(Token(EOF, "", pos()))
+            append(_new(Token, (kind, text, pos, (name, dollars))))
+        elif _is_name_start(c):
+            append(_new(Token, (KEYWORD if text in KEYWORDS else IDENT, text, pos, None)))
+        elif c.isdecimal():
+            num, _, den = text.partition("/")
+            if den and int(den) == 0:
+                raise CalSyntaxError(f"rational literal {text!r} has a zero denominator", pos)
+            append(_new(Token, (NUMBER, text, pos, Fraction(int(num), int(den or 1)))))
+        elif c == "-":
+            continue  # a comment
+        elif c == "\\":
+            raise CalSyntaxError("stray '\\' (the only backslash token is '\\/')", pos)
+        else:
+            raise CalSyntaxError(f"unexpected character {c!r}", pos)
+    rest = source[offset:]  # whitespace after the last token
+    if "\n" in rest:
+        line += rest.count("\n")
+        line_start = offset + rest.rindex("\n") + 1
+    append(_new(Token, (EOF, "", _new(Pos, (line, len(source) - line_start + 1)), None)))
     return tokens
 
 
@@ -331,23 +297,33 @@ class Declaration:
 # Parser
 # ---------------------------------------------------------------------------
 
+# How tightly each operator binds, for parsing and rendering alike.  Every
+# binary operator is left-associative; a unary sign binds between the
+# additive and the multiplicative operators.
+_BINARY_PREC = {"\\/": 1, "+": 2, "-": 2, "*": 4, "/": 4, "^": 5}
+_UNARY_PREC = 3
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-
-    def peek(self, offset: int = 0) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+        self.tok = tokens[0]  # the current token, tokens[i]
+        # Nesting of the term being parsed: open brackets, argument lists
+        # and signs around the current token, and the depth as written of
+        # the term parsed last.  Their sum never exceeds MAX_TERM_DEPTH.
+        self.depth = 0
+        self.height = 0
 
     def next(self) -> Token:
-        t = self.tokens[self.i]
+        t = self.tok
         if t.kind != EOF:
             self.i += 1
+            self.tok = self.tokens[self.i]
         return t
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.tok
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -358,13 +334,13 @@ class _Parser:
     def expect(self, kind: str, text: Optional[str] = None, what: Optional[str] = None) -> Token:
         if self.at(kind, text):
             return self.next()
-        t = self.peek()
+        t = self.tok
         wanted = what or (text if text is not None else kind)
         found = t.text or "end of input"
         raise CalSyntaxError(f"expected {wanted!r}, found {found!r}", t.pos)
 
     def fail(self, message: str):
-        raise CalSyntaxError(message, self.peek().pos)
+        raise CalSyntaxError(message, self.tok.pos)
 
     # -- declarations ------------------------------------------------------
 
@@ -438,7 +414,7 @@ class _Parser:
         return ProvidedBlock(tuple(conds), body, start.pos)
 
     def clause(self, previous: list[SurfaceDecl]) -> SurfaceClause:
-        start = self.peek().pos
+        start = self.tok.pos
         conditions: tuple[SurfacePredicate, ...] = ()
         if not self.at(ARROW, "=>"):
             preds = self.predicate_list()
@@ -463,7 +439,7 @@ class _Parser:
         return preds
 
     def predicate(self) -> SurfacePredicate:
-        lhs_pos = self.peek().pos
+        lhs_pos = self.tok.pos
         lhs = self.expression()
         if self.accept(EQUIVOP):
             return EquivalenceP(lhs, self.expression())
@@ -475,92 +451,107 @@ class _Parser:
             return RelationP(lhs, op, self.expression())
         self.fail("expected a relational operator or ':=:'")
 
-    def expression(self) -> SurfaceTerm:
-        return self.union_exp()
+    def expression(self, min_prec: int = 0) -> SurfaceTerm:
+        """A term whose binary operators bind at ``min_prec`` or tighter;
+        all of them associate to the left.
 
-    def union_exp(self) -> SurfaceTerm:
-        t = self.add_exp()
-        while self.at(INFIX, "\\/"):
+        A sign may start an operand that binds at ``_UNARY_PREC`` or
+        looser, and covers the product after it: ``-x^2`` is ``-(x^2)``.
+        """
+        tok = self.tok
+        if tok.kind == INFIX and tok.text in ("+", "-") and min_prec <= _UNARY_PREC:
+            self.open()
+            operand = self.expression(_UNARY_PREC)
+            self.depth -= 1
+            self.height += 1
+            if tok.text == "+":
+                term = operand
+            elif isinstance(operand, NumberLit):
+                term = NumberLit(-operand.value)
+            else:
+                term = Unary("-", operand)
+        else:
+            term = self.primary()
+        while True:
+            tok = self.tok
+            if tok.kind != INFIX:
+                return term
+            prec = _BINARY_PREC[tok.text]
+            if prec < min_prec:
+                return term
             self.next()
-            t = Binary("\\/", t, self.add_exp())
-        return t
-
-    def add_exp(self) -> SurfaceTerm:
-        t = self.signed_prod()
-        while self.at(INFIX, "+") or self.at(INFIX, "-"):
-            op = self.next().text
-            t = Binary(op, t, self.signed_prod())
-        return t
-
-    def signed_prod(self) -> SurfaceTerm:
-        # A leading sign applies to the whole product: -x^2 is -(x^2).
-        if self.at(INFIX, "-") or self.at(INFIX, "+"):
-            op = self.next().text
-            operand = self.signed_prod()
-            if op == "+":
-                return operand
-            if isinstance(operand, NumberLit):
-                return NumberLit(-operand.value)
-            return Unary(op, operand)
-        return self.mul_exp()
-
-    def mul_exp(self) -> SurfaceTerm:
-        t = self.pow_exp()
-        while self.at(INFIX, "*") or self.at(INFIX, "/"):
-            op = self.next().text
-            t = Binary(op, t, self.pow_exp())
-        return t
-
-    def pow_exp(self) -> SurfaceTerm:
-        t = self.primary()
-        while self.at(INFIX, "^"):
-            self.next()
-            t = Binary("^", t, self.primary())
-        return t
+            height = self.height
+            rhs = self.expression(prec + 1)
+            height = max(height, self.height) + 1
+            if self.depth + height > MAX_TERM_DEPTH:
+                self.too_deep(tok)
+            self.height = height
+            term = Binary(tok.text, term, rhs)
 
     def primary(self) -> SurfaceTerm:
-        t = self.peek()
-        if t.kind == NUMBER:
+        t = self.tok
+        kind = t.kind
+        if kind == NUMBER:
             self.next()
+            self.height = 0
             return NumberLit(t.value)
-        if t.kind in (VARIABLE, ENV_VARIABLE, ANON_VARIABLE):
+        if kind == VARIABLE or kind == ENV_VARIABLE or kind == ANON_VARIABLE:
             self.next()
-            name, dollars = t.value
-            return VarRef(name, dollars)
-        if t.kind == IDENT:
+            self.height = 0
+            return VarRef(*t.value)
+        if kind == IDENT:
             self.next()
             if self.at(PUNCT, "("):
-                return HeadTuple(t.text, self.term_args())
+                self.open()
+                args = self.term_list()
+                self.close(")")
+                return HeadTuple(t.text, args)
+            self.height = 0
             return Name(t.text)
-        if t.kind == PUNCT and t.text == "(":
-            self.next()
-            first = self.expression()
-            if self.accept(PUNCT, ","):
-                members = [first, self.expression()]
-                while self.accept(PUNCT, ","):
-                    members.append(self.expression())
-                self.expect(PUNCT, ")")
-                return TupleLit(tuple(members))
-            self.expect(PUNCT, ")")
-            return first  # plain grouping
-        if t.kind == PUNCT and t.text == "{":
-            self.next()
-            members = []
-            if not self.at(PUNCT, "}"):
-                members.append(self.expression())
-                while self.accept(PUNCT, ","):
-                    members.append(self.expression())
-            self.expect(PUNCT, "}")
-            return SetLit(tuple(members))
+        if kind == PUNCT and t.text == "(":
+            self.open()
+            members = self.term_list()
+            self.close(")")
+            # One member is plain grouping.
+            return members[0] if len(members) == 1 else TupleLit(members)
+        if kind == PUNCT and t.text == "{":
+            self.open()
+            if self.at(PUNCT, "}"):
+                members = ()
+                self.height = 0
+            else:
+                members = self.term_list()
+            self.close("}")
+            return SetLit(members)
         self.fail(f"expected a term, found {t.text!r}" if t.text else "expected a term")
 
-    def term_args(self) -> tuple[SurfaceTerm, ...]:
-        self.expect(PUNCT, "(")
-        args = [self.expression()]
+    def term_list(self) -> tuple[SurfaceTerm, ...]:
+        """One or more comma-separated terms; ``height`` becomes the
+        greatest of theirs."""
+        terms = [self.expression()]
+        height = self.height
         while self.accept(PUNCT, ","):
-            args.append(self.expression())
-        self.expect(PUNCT, ")")
-        return tuple(args)
+            terms.append(self.expression())
+            height = max(height, self.height)
+        self.height = height
+        return tuple(terms)
+
+    def open(self):
+        """Consume a bracket or sign that nests what follows one level deeper."""
+        self.depth += 1
+        if self.depth > MAX_TERM_DEPTH:
+            self.too_deep(self.tok)
+        self.next()
+
+    def close(self, bracket: str):
+        """Consume the closing bracket of the innermost open level."""
+        self.expect(PUNCT, bracket)
+        self.depth -= 1
+        self.height += 1
+
+    def too_deep(self, tok: Token):
+        raise CalSyntaxError(f"term nested too deeply (more than {MAX_TERM_DEPTH} levels)",
+                             tok.pos)
 
 
 def _as_tokens(source) -> list[Token]:
@@ -601,10 +592,6 @@ def parse_predicate(source) -> SurfacePredicate:
 # Canonical rendering
 # ---------------------------------------------------------------------------
 
-_BINARY_PREC = {"\\/": 1, "+": 2, "-": 2, "*": 4, "/": 4, "^": 5}
-_UNARY_PREC = 3  # between additive and multiplicative, like the grammar
-
-
 def render_term(t: SurfaceTerm, prec: int = 0) -> str:
     """Render a surface term, inserting parentheses only where needed."""
     if isinstance(t, NumberLit):
@@ -618,7 +605,8 @@ def render_term(t: SurfaceTerm, prec: int = 0) -> str:
     if isinstance(t, VarRef):
         return "$" * t.dollars + t.name
     if isinstance(t, Unary):
-        inner = render_term(t.operand, _UNARY_PREC)
+        # A sign directly on a sign gets parentheses: "--" starts a comment.
+        inner = render_term(t.operand, _UNARY_PREC + 1)
         text = f"{t.op}{inner}"
         return f"({text})" if prec > _UNARY_PREC else text
     if isinstance(t, Binary):

@@ -76,6 +76,12 @@ class Sym:
     ground = True
 
 
+# Symbols compared against on hot paths, built once.
+UNION_SYM = Sym(UNION)
+MINUS_SYM = Sym(MINUS)
+_INFIX_SYM = {op: Sym(name) for op, name in INFIX_SYMBOL.items()}
+
+
 @dataclass(frozen=True)
 class Var:
     """A variable.  Identity is the ``vid``; name and category are display
@@ -242,7 +248,7 @@ def _merge_union(lhs: Term, rhs: Term) -> Term:
     """
     parts = []
     for t in (lhs, rhs):
-        if isinstance(t, Tup) and t.head == Sym(UNION):
+        if isinstance(t, Tup) and t.head == UNION_SYM:
             parts.extend(t.members[1:])
         else:
             parts.append(t)
@@ -255,7 +261,7 @@ def _merge_union(lhs: Term, rhs: Term) -> Term:
         elif isinstance(p, Var):
             union_vars.append(p)
         else:
-            return Tup((Sym(UNION), *parts))
+            return Tup((UNION_SYM, *parts))
     return SetTerm(elements, union_vars)
 
 
@@ -266,37 +272,39 @@ def desugar(node, scope: Optional[VarScope] = None) -> Term:
     idempotent.  ``scope`` resolves variable references; omitting it
     treats every single-dollar name as a local.
     """
+    return _lower(node, scope if scope is not None else VarScope())
+
+
+def _lower(node, scope: VarScope) -> Term:
+    kind = type(node)
+    if kind is syntax.VarRef:
+        return scope.lookup(node.name, node.dollars)
+    if kind is syntax.NumberLit:
+        return Num(node.value)
+    if kind is syntax.Name:
+        return Sym(node.text)
+    if kind is syntax.Binary:
+        lhs, rhs = _lower(node.lhs, scope), _lower(node.rhs, scope)
+        if node.op == "\\/":
+            return _merge_union(lhs, rhs)
+        return Tup((_INFIX_SYM[node.op], lhs, rhs))
+    if kind is syntax.HeadTuple:
+        return Tup((Sym(node.head), *[_lower(a, scope) for a in node.args]))
+    if kind is syntax.TupleLit:
+        return Tup(tuple([_lower(m, scope) for m in node.members]))
+    if kind is syntax.SetLit:
+        # A set literal written inside a set literal stays an element;
+        # the well-formedness check reports it at use time.
+        return SetTerm([_lower(m, scope) for m in node.members])
+    if kind is syntax.Unary:
+        inner = _lower(node.operand, scope)
+        if isinstance(inner, Num):
+            return Num(-inner.value) if node.op == "-" else inner
+        if node.op == "+":
+            return inner
+        return Tup((MINUS_SYM, inner))
     if isinstance(node, (Num, Sym, Var, Tup, SetTerm)):
         return node
-    if scope is None:
-        scope = VarScope()
-
-    match node:
-        case syntax.NumberLit(value):
-            return Num(value)
-        case syntax.Name(text):
-            return Sym(text)
-        case syntax.VarRef(name, dollars):
-            return scope.lookup(name, dollars)
-        case syntax.Unary(op, operand):
-            inner = desugar(operand, scope)
-            if isinstance(inner, Num):
-                return Num(-inner.value) if op == "-" else inner
-            if op == "+":
-                return inner
-            return Tup((Sym(MINUS), inner))
-        case syntax.Binary("\\/", lhs, rhs):
-            return _merge_union(desugar(lhs, scope), desugar(rhs, scope))
-        case syntax.Binary(op, lhs, rhs):
-            return Tup((Sym(INFIX_SYMBOL[op]), desugar(lhs, scope), desugar(rhs, scope)))
-        case syntax.TupleLit(members):
-            return Tup(tuple(desugar(m, scope) for m in members))
-        case syntax.HeadTuple(head, args):
-            return Tup((Sym(head), *(desugar(a, scope) for a in args)))
-        case syntax.SetLit(members):
-            # A set literal written inside a set literal stays an element;
-            # the well-formedness check reports it at use time.
-            return SetTerm(tuple(desugar(m, scope) for m in members))
     raise TypeError(f"not a surface term: {node!r}")
 
 
@@ -305,7 +313,7 @@ def classify(t: Term) -> str:
     ``individual``."""
     if isinstance(t, SetTerm):
         return SET
-    if isinstance(t, Tup) and t.members and t.head == Sym(UNION):
+    if isinstance(t, Tup) and t.members and t.head == UNION_SYM:
         return SET
     return INDIVIDUAL
 
@@ -329,7 +337,7 @@ def check_set_wellformed(t: Term) -> Optional[str]:
                 if v:
                     return v
             return None
-        case Tup() if t.members and t.head == Sym(UNION):
+        case Tup() if t.members and t.head == UNION_SYM:
             for op in t.members[1:]:
                 if not isinstance(op, Var) and classify(op) != SET:
                     return f"union with a non-set operand: {term_text(op)}"
@@ -428,7 +436,7 @@ def term_text(t: Term, prec: int = 0) -> str:
             return f"({text})" if prec > 1 and len(parts) > 1 else text
         case Tup() if not t.members:
             return "()"
-        case Tup() if t.head == Sym(MINUS) and len(t.members) == 2:
+        case Tup() if t.head == MINUS_SYM and len(t.members) == 2:
             text = f"-{term_text(t.members[1], 3)}"
             return f"({text})" if prec > 3 else text
         case Tup() if isinstance(t.head, Sym) and t.head.name in _PREC and len(t.members) == 3:
@@ -437,7 +445,7 @@ def term_text(t: Term, prec: int = 0) -> str:
             rhs = term_text(t.members[2], level + 1)
             text = f"{lhs} {_OP_TEXT[t.head.name]} {rhs}"
             return f"({text})" if prec > level else text
-        case Tup() if t.head == Sym(UNION):
+        case Tup() if t.head == UNION_SYM:
             text = " \\/ ".join(term_text(m, 2) for m in t.members[1:])
             return f"({text})" if prec > 1 else text
         case Tup() if isinstance(t.head, Sym) and len(t.members) > 1 and not t.head.name.startswith("\\"):

@@ -42,7 +42,7 @@ from .terms import (
     ENVIRONMENT,
     LOCAL,
     SET,
-    UNION,
+    UNION_SYM,
     Num,
     SetTerm,
     Sym,
@@ -182,7 +182,7 @@ def _set_view(t: Term, store: BindingStore) -> Optional[SetTerm]:
     if isinstance(t, Var):
         b = store.binding(t)
         return _set_view(b, store) if b is not None else None
-    if isinstance(t, Tup) and t.members and t.head == Sym(UNION):
+    if isinstance(t, Tup) and t.members and t.head == UNION_SYM:
         elements: list[Term] = []
         union_vars: list[Var] = []
         for op in t.members[1:]:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from calang.cli import main
+from calang.syntax import MAX_TERM_DEPTH
 
 
 def run(capsys, *argv):
@@ -213,3 +214,59 @@ class TestAggregate:
         assert code == 0
         assert out == ""
         assert "limits(10, 30)" in target.read_text()
+
+
+DEEP_PREFIX = "box D ((x) -> (y)): => $y = "
+
+
+def deep_files(tmp_path, term: str):
+    (tmp_path / "deep.cal").write_text(DEEP_PREFIX + term + ";\n")
+    (tmp_path / "deep.net").write_text("use deep.cal\nnet m = D\n")
+    return str(tmp_path / "deep.cal"), str(tmp_path / "deep.net")
+
+
+class TestDeepNesting:
+    """Past the parser's nesting bound every command reports a positioned
+    syntax error; at the bound every command works."""
+
+    SHAPES = {
+        # a 5,000-term sum: reported at the operator past the bound
+        "chain": ("+".join(["1"] * 5000), 2 * (MAX_TERM_DEPTH + 1)),
+        # 3,000 nested parentheses: reported at the bracket past the bound
+        "parens": ("(" * 3000 + "1" + ")" * 3000, MAX_TERM_DEPTH + 1),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_too_deep_is_a_positioned_error(self, capsys, tmp_path, shape):
+        term, col = self.SHAPES[shape]
+        cal, net = deep_files(tmp_path, term)
+        where = f"line 1, column {len(DEEP_PREFIX) + col}: term nested too deeply"
+        for argv in (["check", cal], ["eval", cal, "D"], ["aggregate", "--net", net]):
+            code, out = run(capsys, *argv)
+            assert code == 1
+            assert "status: errors" in out and where in out
+        code = main(["horn", cal])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith(f"error: {where}")
+
+    @pytest.mark.parametrize("term, value", [
+        ("+".join(["1"] * (MAX_TERM_DEPTH + 1)), MAX_TERM_DEPTH + 1),
+        ("(" * MAX_TERM_DEPTH + "1" + ")" * MAX_TERM_DEPTH, 1),
+    ])
+    def test_term_at_the_bound_works(self, capsys, tmp_path, term, value):
+        cal, _ = deep_files(tmp_path, term)
+        code, out = run(capsys, "check", cal)
+        assert code == 0 and "status: ok" in out
+        code, out = run(capsys, "eval", cal, "D")
+        assert code == 0 and f"  $y = {value}\n" in out
+        code, out = run(capsys, "horn", cal)
+        assert code == 0 and out.count("num_eq(Y_1_0, ") == 1
+
+
+def test_non_decimal_digit_is_reported(capsys, tmp_path):
+    f = tmp_path / "digit.cal"
+    f.write_text("box b (() -> (b)): => $b = 1 + ²;\n")
+    code, out = run(capsys, "check", str(f))
+    assert code == 1
+    assert "error: line 1, column 32: unexpected character '²'" in out

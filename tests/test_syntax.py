@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,87 @@ class TestRender:
         for text in ["1 + 2 * 3", "(1 + 2) * 3", "1 - (2 - 3)", "-(1 + 2)",
                      "2 ^ (-3)", "{a} \\/ $v", "a(b, (c, d))"]:
             assert parse_term(render_term(parse_term(text))) == parse_term(text)
+
+
+class TestCharacterClasses:
+    def test_non_decimal_digit_is_an_unexpected_character(self):
+        with pytest.raises(CalSyntaxError) as e:
+            tokenize("$b = 1 + ²")
+        assert e.value.message == "unexpected character '²'"
+        assert e.value.pos == syntax.Pos(1, 10)
+
+    def test_number_stops_before_non_decimal_digit(self):
+        with pytest.raises(CalSyntaxError) as e:
+            tokenize("12²")
+        assert e.value.pos.col == 3
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        (tok, _) = tokenize("٣")  # ARABIC-INDIC DIGIT THREE
+        assert tok.kind == NUMBER and tok.value == Fraction(3)
+
+    def test_unicode_letters_and_whitespace(self):
+        toks = tokenize("é\u00a0$x²\u2003été")  # NO-BREAK SPACE, EM SPACE
+        assert [(t.kind, t.text) for t in toks][:-1] == [
+            ("identifier", "é"), (VARIABLE, "$x²"), ("identifier", "été")]
+        assert toks[2].pos == syntax.Pos(1, 7)
+
+
+def chain(n: int) -> str:
+    """A sum of ``n`` ones: a left-associative spine of ``n - 1`` operators."""
+    return "+".join(["1"] * n)
+
+
+def parens(n: int) -> str:
+    return "(" * n + "1" + ")" * n
+
+
+class TestNestingBound:
+    def test_terms_at_the_bound_parse(self):
+        parse_term(chain(syntax.MAX_TERM_DEPTH + 1))
+        parse_term(parens(syntax.MAX_TERM_DEPTH))
+        parse_term("- " * syntax.MAX_TERM_DEPTH + "$x")
+
+    def test_operator_past_the_bound_is_reported_at_itself(self):
+        with pytest.raises(CalSyntaxError) as e:
+            parse_term(chain(5000))
+        assert e.value.message.startswith("term nested too deeply")
+        assert e.value.pos.col == 2 * (syntax.MAX_TERM_DEPTH + 1)
+
+    def test_bracket_past_the_bound_is_reported_at_itself(self):
+        for opener in ("(", "{", "f("):
+            text = "$y = " + opener * (syntax.MAX_TERM_DEPTH + 1) + "1"
+            with pytest.raises(CalSyntaxError) as e:
+                parse_predicate(text)
+            assert e.value.message.startswith("term nested too deeply")
+            assert e.value.pos.col == 5 + len(opener) * (syntax.MAX_TERM_DEPTH + 1)
+
+    def test_signs_count(self):
+        with pytest.raises(CalSyntaxError):
+            parse_term("- " * (syntax.MAX_TERM_DEPTH + 1) + "$x")
+
+    def test_operators_applied_after_a_bracket_count(self):
+        # Each level is a bracket around a sum of m terms, applied as the
+        # first operand of the next level: no bracket is nested more than
+        # k deep and no sum is longer than m, but the tree is k * m deep.
+        k = m = 20
+        text = "1"
+        for _ in range(k):
+            text = "(" + text + "+1" * (m - 1) + ")"
+        assert k * m > syntax.MAX_TERM_DEPTH > k + m
+        with pytest.raises(CalSyntaxError) as e:
+            parse_term(text)
+        assert e.value.message.startswith("term nested too deeply")
+
+
+class TestRenderSigns:
+    def test_sign_on_a_sign_round_trips(self):
+        t = parse_term("- - $x")
+        assert render_term(t) == "-(-$x)"
+        assert parse_term(render_term(t)) == t
+
+
+def test_trailing_whitespace_takes_linear_time():
+    started = time.monotonic()
+    toks = tokenize("box" + " " * 100_000 + "\n ")
+    assert time.monotonic() - started < 5  # a quadratic scan takes minutes
+    assert toks[-1].kind == syntax.EOF and toks[-1].pos == syntax.Pos(2, 2)
