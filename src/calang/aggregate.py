@@ -18,6 +18,10 @@ folded.
 Each box occurrence in a network becomes an *instance* with its own copy
 of the declaration's variables, so a box used twice keeps its activations
 apart, mirroring how environment variables are provided per box.
+
+Network expressions are parsed by :mod:`calang.syntax`.  A chain
+``A .. B .. C`` is one :class:`Serial` whose stages are walked in a loop;
+walks recurse only into parentheses, whose nesting the parser bounds.
 """
 
 from __future__ import annotations
@@ -84,9 +88,9 @@ class BoxRef:
 
 @dataclass
 class Serial:
-    left: "NetExpr"
-    right: "NetExpr"
-    comm: Optional[Term] = None  # per-edge communication cost override
+    stages: list["NetExpr"]
+    # comms[i] overrides the cost of the edge stages[i]..stages[i+1] unless None
+    comms: list[Optional[Term]]
 
 
 @dataclass
@@ -108,12 +112,9 @@ class Network:
         def walk(e: NetExpr):
             if isinstance(e, BoxRef):
                 out.append(e.instance)
-            elif isinstance(e, Serial):
-                walk(e.left)
-                walk(e.right)
             else:
-                for b in e.branches:
-                    walk(b)
+                for part in e.stages if isinstance(e, Serial) else e.branches:
+                    walk(part)
 
         walk(self.expr)
         return out
@@ -148,7 +149,7 @@ def input_ends(expr: NetExpr) -> list[Instance]:
     if isinstance(expr, BoxRef):
         return [expr.instance]
     if isinstance(expr, Serial):
-        return input_ends(expr.left)
+        return input_ends(expr.stages[0])
     return [i for b in expr.branches for i in input_ends(b)]
 
 
@@ -156,7 +157,7 @@ def output_ends(expr: NetExpr) -> list[Instance]:
     if isinstance(expr, BoxRef):
         return [expr.instance]
     if isinstance(expr, Serial):
-        return output_ends(expr.right)
+        return output_ends(expr.stages[-1])
     return [i for b in expr.branches for i in output_ends(b)]
 
 
@@ -181,22 +182,23 @@ def build_connections(net: Network) -> list[Connection]:
 
     def walk(e: NetExpr):
         if isinstance(e, Serial):
-            walk(e.left)
-            walk(e.right)
-            for up in output_ends(e.left):
-                if not up.decl.outputs:
-                    raise NetworkError(
-                        f"box {up.name} has no output tuple type to connect")
-                up_fields = up.decl.outputs[CONNECT_CHANNEL]
-                for down in input_ends(e.right):
-                    down_fields = down.decl.inputs
-                    if len(up_fields) != len(down_fields):
+            walk(e.stages[0])
+            for left, right in zip(e.stages, e.stages[1:]):
+                walk(right)
+                for up in output_ends(left):
+                    if not up.decl.outputs:
                         raise NetworkError(
-                            f"arity mismatch on {up.name}..{down.name}: "
-                            f"({','.join(up_fields)}) vs ({','.join(down_fields)})")
-                    pairs = [(up.decl.object_vars[a], down.decl.object_vars[b])
-                             for a, b in zip(up_fields, down_fields)]
-                    out.append(Connection(up, down, pairs))
+                            f"box {up.name} has no output tuple type to connect")
+                    up_fields = up.decl.outputs[CONNECT_CHANNEL]
+                    for down in input_ends(right):
+                        down_fields = down.decl.inputs
+                        if len(up_fields) != len(down_fields):
+                            raise NetworkError(
+                                f"arity mismatch on {up.name}..{down.name}: "
+                                f"({','.join(up_fields)}) vs ({','.join(down_fields)})")
+                        pairs = [(up.decl.object_vars[a], down.decl.object_vars[b])
+                                 for a, b in zip(up_fields, down_fields)]
+                        out.append(Connection(up, down, pairs))
         elif isinstance(e, Parallel):
             for b in e.branches:
                 walk(b)
@@ -399,11 +401,14 @@ def aggregate_extrafunctional(expr: NetExpr, store: BindingStore,
     if isinstance(expr, BoxRef):
         return box_latency_model(expr.instance, store)
     if isinstance(expr, Serial):
-        left = aggregate_extrafunctional(expr.left, store, default_comm)
-        right = aggregate_extrafunctional(expr.right, store, default_comm)
-        comm = expr.comm if expr.comm is not None else default_comm
-        fan_out = len(input_ends(expr.right)) > 1
-        return _serial_rule(left, right, comm, fan_out)
+        # Folding from the left gives a chain the latency shape of
+        # ((A .. B) .. C): T_A + (comm + T_B), then + (comm + T_C).
+        model = aggregate_extrafunctional(expr.stages[0], store, default_comm)
+        for comm, stage in zip(expr.comms, expr.stages[1:]):
+            right = aggregate_extrafunctional(stage, store, default_comm)
+            model = _serial_rule(model, right, default_comm if comm is None else comm,
+                                 fan_out=len(input_ends(stage)) > 1)
+        return model
     models = [aggregate_extrafunctional(b, store, default_comm) for b in expr.branches]
     return _parallel_rule(models)
 
@@ -512,109 +517,20 @@ def _strip_comment(line: str) -> str:
     return line[:idx] if idx >= 0 else line
 
 
-class _NetExprParser:
-    """Box expressions: names combined with ``..`` (serial, optional
-    ``..[cost]``) and ``|`` (parallel); ``..`` binds tighter."""
-
-    def __init__(self, text: str, library: dict[str, BoxDeclaration], supply: VarSupply,
-                 counts: dict[str, int]):
-        self.tokens = self._lex(text)
-        self.i = 0
-        self.library = library
-        self.supply = supply
-        self.counts = counts
-
-    @staticmethod
-    def _lex(text: str) -> list[str]:
-        out = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif text[i:i + 2] == "..":
-                out.append("..")
-                i += 2
-            elif c in "()|":
-                out.append(c)
-                i += 1
-            elif c == "[":
-                depth = 1
-                j = i + 1
-                while j < len(text) and depth:
-                    if text[j] == "[":
-                        depth += 1
-                    elif text[j] == "]":
-                        depth -= 1
-                    j += 1
-                if depth:
-                    raise NetworkError("unterminated '[' in network expression")
-                out.append(text[i:j])
-                i = j
-            elif c.isalnum() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(text[i:j])
-                i = j
-            else:
-                raise NetworkError(f"unexpected character {c!r} in network expression")
-        return out
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> Optional[str]:
-        t = self.peek()
-        if t is not None:
-            self.i += 1
-        return t
-
-    def parse(self) -> NetExpr:
-        e = self.parallel()
-        if self.peek() is not None:
-            raise NetworkError(f"trailing input in network expression: {self.peek()!r}")
-        return e
-
-    def parallel(self) -> NetExpr:
-        branches = [self.serial()]
-        while self.peek() == "|":
-            self.next()
-            branches.append(self.serial())
-        return branches[0] if len(branches) == 1 else Parallel(branches)
-
-    def serial(self) -> NetExpr:
-        e = self.atom()
-        while self.peek() == "..":
-            self.next()
-            comm = None
-            nxt = self.peek()
-            if nxt is not None and nxt.startswith("["):
-                self.next()
-                text = nxt[1:-1]
-                comm = _env_term(text)
-            e = Serial(e, self.atom(), comm)
-        return e
-
-    def atom(self) -> NetExpr:
-        t = self.next()
-        if t == "(":
-            e = self.parallel()
-            if self.next() != ")":
-                raise NetworkError("expected ')' in network expression")
-            return e
-        if t is None or t in ("|", "..", ")"):
-            raise NetworkError("expected a box name in network expression")
-        decl = self.library.get(t)
+def _network_expr(e: syntax.NetSurface, library: dict[str, BoxDeclaration],
+                  supply: VarSupply, counts: dict[str, int]) -> NetExpr:
+    """Instantiate the boxes of a parsed network expression, left to right."""
+    if isinstance(e, syntax.NetBox):
+        decl = library.get(e.name)
         if decl is None:
-            raise NetworkError(f"unknown box {t!r} (missing 'use' line?)")
-        self.counts[t] = self.counts.get(t, 0) + 1
-        name = t if self.counts[t] == 1 else f"{t}_{self.counts[t]}"
-        return BoxRef(Instance(name, clone_declaration(decl, self.supply)))
-
-
-def _env_term(text: str, scope: Optional[VarScope] = None) -> Term:
-    return desugar(syntax.parse_term(text), scope or VarScope())
+            raise NetworkError(f"{e.pos}: unknown box {e.name!r} (missing 'use' line?)")
+        counts[e.name] = counts.get(e.name, 0) + 1
+        name = e.name if counts[e.name] == 1 else f"{e.name}_{counts[e.name]}"
+        return BoxRef(Instance(name, clone_declaration(decl, supply)))
+    if isinstance(e, syntax.NetSerial):
+        return Serial([_network_expr(s, library, supply, counts) for s in e.stages],
+                      [None if c is None else desugar(c) for c in e.comms])
+    return Parallel([_network_expr(b, library, supply, counts) for b in e.branches])
 
 
 @dataclass
@@ -631,7 +547,7 @@ def parse_network_file(text: str, base_dir: Optional[Path] = None,
     supply = supply or VarSupply("i")
     library: dict[str, BoxDeclaration] = {}
     networks: list[Network] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
@@ -646,13 +562,8 @@ def parse_network_file(text: str, base_dir: Optional[Path] = None,
                 library[flattened.name] = flattened
             continue
         if line.startswith("net "):
-            rest = line[4:]
-            if "=" not in rest:
-                raise NetworkError(f"line {ln}: expected 'net <name> = <boxexpr>'")
-            name, expr_text = rest.split("=", 1)
-            counts: dict[str, int] = {}
-            expr = _NetExprParser(expr_text, library, supply, counts).parse()
-            networks.append(Network(name.strip(), expr))
+            name, expr = syntax.parse_network(raw, syntax.Pos(ln, 1))
+            networks.append(Network(name, _network_expr(expr, library, supply, {})))
             continue
         raise NetworkError(f"line {ln}: expected 'use <file.cal>' or 'net <name> = <boxexpr>'")
     return NetworkFile(networks, library)
@@ -671,15 +582,16 @@ class EnvSpec:
 def parse_env_file(text: str) -> EnvSpec:
     spec = EnvSpec()
     scope = VarScope()
-    for ln, raw in enumerate(text.splitlines(), start=1):
+    for ln, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
         if "=" not in line:
             raise NetworkError(f"env line {ln}: expected '<target> = <term>'")
-        lhs, rhs = line.split("=", 1)
+        lhs, _, rhs = raw.partition("=")
+        tokens = syntax.tokenize(rhs, syntax.Pos(ln, len(lhs) + 2))
+        term = desugar(syntax.parse_term(tokens), scope)
         lhs = lhs.strip()
-        term = _env_term(rhs.strip(), scope)
         if lhs.startswith("$$"):
             spec.globals[lhs[2:]] = term
         elif "." in lhs:

@@ -1,21 +1,25 @@
-"""Surface syntax of CAL box declarations.
+"""Surface syntax of CAL: box declarations, terms and network expressions.
 
 This module owns the textual side of the language: a lexer, a parser
 producing a surface AST, and a canonical renderer such that
-``parse(render(ast))`` is structurally equal to ``ast``.
+``parse(render(ast))`` is structurally equal to ``ast``; core terms
+are rendered through it too.  It also parses the network expressions of
+``.net`` files: box names combined by ``..`` (serial, with an optional
+edge cost ``..[term]``) and ``|`` (parallel).
 
 The lexer matches one compiled regular expression, an alternation with
 one branch per token class, repeatedly from the start of the text.  The
-parser is recursive descent for declarations and precedence climbing for
-terms; one table, ``_BINARY_PREC`` with ``_UNARY_PREC``, gives the
-binding strength of every operator to both the parser and the renderer.
-Terms nested deeper than ``MAX_TERM_DEPTH`` levels are a syntax error,
-so that every recursive walk over a term stays far from Python's
-recursion limit.
+parser is recursive descent for declarations and network expressions and
+precedence climbing for terms; one table, ``_BINARY_PREC`` with
+``_UNARY_PREC``, gives the binding strength of every operator to both
+the parser and the renderer.  Terms and network expressions nested
+deeper than ``MAX_TERM_DEPTH`` levels are a syntax error, so that every
+recursive walk over them stays far from Python's recursion limit.
 
 The surface AST keeps syntactic sugar intact (infix operators, head
 extraction, unary signs); lowering to the core term algebra happens in
-:mod:`calang.terms`.
+:mod:`calang.terms`, and to networks of box instances in
+:mod:`calang.aggregate`.
 
 Accepted leniencies beyond the base grammar, all deliberate:
 
@@ -58,12 +62,13 @@ ARROW = "arrow"          # "->" and "=>"
 EQUIVOP = "equivops"     # ":=:"
 PUNCT = "punct"          # ( ) { } , ; :
 INFIX = "infix-sign"     # + - * / ^ \/
+COMBINATOR = "combinator"  # .. and |, in network expressions only
 EOF = "eof"
 
 # A term may nest this many levels deep as written: each bracket, head
-# argument list, unary sign and binary operator adds one.  Walking such a
-# term recursively takes a few hundred frames at most, well under
-# Python's default limit of 1000.
+# argument list, unary sign, binary operator and network parenthesis adds
+# one.  Walking such a term recursively takes a few hundred frames at
+# most, well under Python's default limit of 1000.
 MAX_TERM_DEPTH = 200
 
 
@@ -114,7 +119,7 @@ _TOKEN_RE = re.compile(r"""
       | [^\W\d]\w*
       | \d+(?:/\d+)?
       | \$\$?[^\W\d]\w*
-      | :=: | [-=]> | [<>!]= | \\/
+      | :=: | [-=]> | [<>!]= | \\/ | \.\.
       | \S
     )""", re.VERBOSE)
 
@@ -124,6 +129,8 @@ _OPERATOR_KIND = {
     **dict.fromkeys(("+", "-", "*", "/", "^", "\\/"), INFIX),
     **dict.fromkeys("(){},;:", PUNCT),
 }
+# Network expressions add the combinators and the cost brackets.
+_NET_OPERATOR_KIND = {**_OPERATOR_KIND, "..": COMBINATOR, "|": COMBINATOR, "[": PUNCT, "]": PUNCT}
 
 _new = tuple.__new__  # builds a Pos or Token without the keyword-argument __new__
 
@@ -132,16 +139,19 @@ def _is_name_start(c: str) -> bool:
     return c.isalpha() or c == "_"
 
 
-def tokenize(source: str) -> list[Token]:
+def tokenize(source: str, start: Pos = Pos(1, 1),
+             operators: dict[str, str] = _OPERATOR_KIND) -> list[Token]:
     """Split CAL source text into tokens.
 
     Every character belongs to exactly one token, whitespace run or
     ``--`` comment; anything else raises :class:`CalSyntaxError` with
-    its position.
+    its position.  ``start`` is the position of the first character, for
+    text cut from a larger file; ``operators`` maps each operator to its
+    kind.
     """
     tokens: list[Token] = []
     append = tokens.append
-    line, line_start, offset = 1, 0, 0  # line_start: offset of the line's first character
+    line, line_start, offset = start.line, 1 - start.col, 0  # line_start: offset of column 1
     for space, text in _TOKEN_RE.findall(source, 0, len(source.rstrip())):
         if space:
             if "\n" in space:
@@ -150,7 +160,7 @@ def tokenize(source: str) -> list[Token]:
             offset += len(space)
         pos = _new(Pos, (line, offset - line_start + 1))
         offset += len(text)
-        kind = _OPERATOR_KIND.get(text)
+        kind = operators.get(text)
         if kind is not None:
             append(_new(Token, (kind, text, pos, None)))
             continue
@@ -291,6 +301,23 @@ class Header:
 class Declaration:
     header: Header
     decls: tuple[SurfaceDecl, ...]
+
+
+class NetBox(NamedTuple):
+    name: str
+    pos: Pos
+
+
+class NetSerial(NamedTuple):
+    stages: tuple["NetSurface", ...]
+    comms: tuple[Optional[SurfaceTerm], ...]  # per edge: the term of "..[term]", or None
+
+
+class NetParallel(NamedTuple):
+    branches: tuple["NetSurface", ...]
+
+
+NetSurface = Union[NetBox, NetSerial, NetParallel]
 
 
 # ---------------------------------------------------------------------------
@@ -549,43 +576,84 @@ class _Parser:
         self.depth -= 1
         self.height += 1
 
+    # -- network expressions ---------------------------------------------
+
+    def net_definition(self) -> tuple[str, NetSurface]:
+        self.expect(IDENT, "net")
+        name = self.expect(IDENT, what="network name").text
+        self.expect(RELOP, "=")
+        return name, self.network()
+
+    def network(self) -> NetSurface:
+        """``network := chain ('|' chain)*``"""
+        branches = [self.chain()]
+        while self.accept(COMBINATOR, "|"):
+            branches.append(self.chain())
+        return branches[0] if len(branches) == 1 else NetParallel(tuple(branches))
+
+    def chain(self) -> NetSurface:
+        """``chain := stage ('..' ['[' term ']'] stage)*``"""
+        stages = [self.stage()]
+        comms: list[Optional[SurfaceTerm]] = []
+        while self.accept(COMBINATOR, ".."):
+            comm = None
+            if self.at(PUNCT, "["):
+                self.open()
+                comm = self.expression()
+                self.close("]")
+            comms.append(comm)
+            stages.append(self.stage())
+        return stages[0] if len(stages) == 1 else NetSerial(tuple(stages), tuple(comms))
+
+    def stage(self) -> NetSurface:
+        """``stage := IDENT | '(' network ')'``"""
+        t = self.tok
+        if t.kind == IDENT:
+            self.next()
+            return NetBox(t.text, t.pos)
+        if t.kind == PUNCT and t.text == "(":
+            self.open()
+            e = self.network()
+            self.close(")")
+            return e
+        self.fail(f"expected a box name, found {t.text!r}" if t.text else "expected a box name")
+
     def too_deep(self, tok: Token):
         raise CalSyntaxError(f"term nested too deeply (more than {MAX_TERM_DEPTH} levels)",
                              tok.pos)
 
 
-def _as_tokens(source) -> list[Token]:
-    if isinstance(source, str):
-        return tokenize(source)
-    return list(source)
+def _parse_all(source, rule):
+    """Apply the parser method ``rule`` to all of ``source``, text or tokens."""
+    p = _Parser(tokenize(source) if isinstance(source, str) else list(source))
+    result = rule(p)
+    p.expect(EOF, what="end of input")
+    return result
 
 
 def parse_program(source) -> tuple[Declaration, ...]:
     """Parse a whole file: zero or more box declarations."""
-    return _Parser(_as_tokens(source)).program()
+    return _parse_all(source, _Parser.program)
 
 
 def parse_declaration(source) -> Declaration:
     """Parse exactly one box declaration."""
-    p = _Parser(_as_tokens(source))
-    decl = p.declaration()
-    p.expect(EOF, what="end of input")
-    return decl
+    return _parse_all(source, _Parser.declaration)
 
 
 def parse_term(source) -> SurfaceTerm:
     """Parse a single term (no trailing input allowed)."""
-    p = _Parser(_as_tokens(source))
-    t = p.expression()
-    p.expect(EOF, what="end of input")
-    return t
+    return _parse_all(source, _Parser.expression)
 
 
 def parse_predicate(source) -> SurfacePredicate:
-    p = _Parser(_as_tokens(source))
-    pred = p.predicate()
-    p.expect(EOF, what="end of input")
-    return pred
+    return _parse_all(source, _Parser.predicate)
+
+
+def parse_network(source: str, start: Pos) -> tuple[str, NetSurface]:
+    """Parse a network definition ``net NAME = EXPR``; ``start`` is the
+    position of its first character in the file."""
+    return _parse_all(tokenize(source, start, _NET_OPERATOR_KIND), _Parser.net_definition)
 
 
 # ---------------------------------------------------------------------------
@@ -594,33 +662,41 @@ def parse_predicate(source) -> SurfacePredicate:
 
 def render_term(t: SurfaceTerm, prec: int = 0) -> str:
     """Render a surface term, inserting parentheses only where needed."""
-    if isinstance(t, NumberLit):
+    kind = type(t)
+    if kind is NumberLit:
         text = str(t.value)
         # A negative literal needs protection in operand position.
         if t.value < 0 and prec > 0:
             return f"({text})"
         return text
-    if isinstance(t, Name):
+    if kind is Name:
         return t.text
-    if isinstance(t, VarRef):
+    if kind is VarRef:
         return "$" * t.dollars + t.name
-    if isinstance(t, Unary):
+    if kind is Unary:
         # A sign directly on a sign gets parentheses: "--" starts a comment.
         inner = render_term(t.operand, _UNARY_PREC + 1)
         text = f"{t.op}{inner}"
         return f"({text})" if prec > _UNARY_PREC else text
-    if isinstance(t, Binary):
+    if kind is Binary:
+        # The operators of one level down the left spine need no
+        # parentheses; a loop walks them, as a long chain is deep.
         level = _BINARY_PREC[t.op]
-        lhs = render_term(t.lhs, level)
-        rhs = render_term(t.rhs, level + 1)  # left-associative
-        text = f"{lhs} {t.op} {rhs}"
+        spine = []
+        while type(t) is Binary and _BINARY_PREC[t.op] == level:
+            spine.append(t)
+            t = t.lhs
+        parts = [render_term(t, level)]
+        for b in reversed(spine):
+            parts.append(f" {b.op} {render_term(b.rhs, level + 1)}")
+        text = "".join(parts)
         return f"({text})" if prec > level else text
-    if isinstance(t, TupleLit):
-        return "(" + ", ".join(render_term(m) for m in t.members) + ")"
-    if isinstance(t, HeadTuple):
-        return t.head + "(" + ", ".join(render_term(a) for a in t.args) + ")"
-    if isinstance(t, SetLit):
-        return "{" + ", ".join(render_term(m) for m in t.members) + "}"
+    if kind is TupleLit:
+        return "(" + ", ".join([render_term(m) for m in t.members]) + ")"
+    if kind is HeadTuple:
+        return t.head + "(" + ", ".join([render_term(a) for a in t.args]) + ")"
+    if kind is SetLit:
+        return "{" + ", ".join([render_term(m) for m in t.members]) + "}"
     raise TypeError(f"not a surface term: {t!r}")
 
 

@@ -403,53 +403,60 @@ def free_vars(t: Term) -> list[Var]:
 
 
 # ---------------------------------------------------------------------------
-# Debug rendering (CAL surface style)
+# Rendering, through the surface syntax's renderer
 # ---------------------------------------------------------------------------
 
-_PREC = {PLUS: 2, MINUS: 2, TIMES: 4, SLASH: 4, HAT: 5}
-_OP_TEXT = {PLUS: "+", MINUS: "-", TIMES: "*", SLASH: "/", HAT: "^"}
+_INFIX_OP = {name: op for op, name in INFIX_SYMBOL.items()}
 
 
-def var_text(v: Var) -> str:
-    if v.anonymous:
-        return "$_"
-    dollars = "$$" if v.category == ENVIRONMENT else "$"
-    return dollars + v.name
+def term_text(t: Term) -> str:
+    """Render a term in CAL surface style, for reports and diagnostics.
+
+    Desugaring the parse of the text gives the term back."""
+    return syntax.render_term(_surface(t))
 
 
-def term_text(t: Term, prec: int = 0) -> str:
-    """Render a term in CAL surface style, for reports and diagnostics."""
-    match t:
-        case Num():
-            text = str(t.value)
-            return f"({text})" if t.value < 0 and prec > 0 else text
-        case Sym(name):
-            return name
-        case Var():
-            return var_text(t)
-        case SetTerm():
-            parts = []
-            if t.elements or not t.union_vars:
-                parts.append("{" + ", ".join(term_text(e) for e in t.elements) + "}")
-            parts.extend(var_text(v) for v in t.union_vars)
-            text = " \\/ ".join(parts)
-            return f"({text})" if prec > 1 and len(parts) > 1 else text
-        case Tup() if not t.members:
-            return "()"
-        case Tup() if t.head == MINUS_SYM and len(t.members) == 2:
-            text = f"-{term_text(t.members[1], 3)}"
-            return f"({text})" if prec > 3 else text
-        case Tup() if isinstance(t.head, Sym) and t.head.name in _PREC and len(t.members) == 3:
-            level = _PREC[t.head.name]
-            lhs = term_text(t.members[1], level)
-            rhs = term_text(t.members[2], level + 1)
-            text = f"{lhs} {_OP_TEXT[t.head.name]} {rhs}"
-            return f"({text})" if prec > level else text
-        case Tup() if t.head == UNION_SYM:
-            text = " \\/ ".join(term_text(m, 2) for m in t.members[1:])
-            return f"({text})" if prec > 1 else text
-        case Tup() if isinstance(t.head, Sym) and len(t.members) > 1 and not t.head.name.startswith("\\"):
-            return t.head.name + "(" + ", ".join(term_text(m) for m in t.members[1:]) + ")"
-        case Tup():
-            return "(" + ", ".join(term_text(m) for m in t.members) + ")"
-    raise TypeError(f"not a term: {t!r}")
+def _surface(t: Term) -> syntax.SurfaceTerm:
+    """The surface term that renders as ``t``."""
+    # Infix tuples are a binary operator with two operands or a raw union
+    # of two or more.  Serial latency sums nest deeper on the left than the
+    # recursion limit allows, so their left operands are walked in a loop,
+    # which leaves ``name`` the head symbol's name of a tuple ``t``.
+    spine = []
+    while type(t) is Tup:
+        members = t.members
+        name = members[0].name if members and type(members[0]) is Sym else None
+        if not (len(members) == 3 and name in _INFIX_OP or len(members) > 3 and name == UNION):
+            break
+        spine.append(t)
+        t = members[1]
+    kind = type(t)
+    if kind is Num:
+        node = syntax.NumberLit(t.value)
+    elif kind is Sym:
+        node = syntax.Name(t.name)
+    elif kind is Var:
+        if t.anonymous:
+            node = syntax.VarRef("_", 1)
+        else:
+            node = syntax.VarRef(t.name, 2 if t.category == ENVIRONMENT else 1)
+    elif kind is SetTerm:
+        # Braces go only where the union variables alone spell a set.
+        refs = [_surface(v) for v in t.union_vars]
+        if t.elements or len(refs) < 2:
+            node = syntax.SetLit(tuple([_surface(e) for e in t.elements]))
+        else:
+            node = refs.pop(0)
+        for ref in refs:
+            node = syntax.Binary("\\/", node, ref)
+    elif name == MINUS and len(t.members) == 2:
+        node = syntax.Unary("-", _surface(t.members[1]))
+    elif name is not None and len(t.members) > 1 and not name.startswith("\\"):
+        node = syntax.HeadTuple(name, tuple([_surface(m) for m in t.members[1:]]))
+    else:
+        node = syntax.TupleLit(tuple([_surface(m) for m in t.members]))
+    for tup in reversed(spine):
+        op = _INFIX_OP[tup.members[0].name]
+        for m in tup.members[2:]:
+            node = syntax.Binary(op, node, _surface(m))
+    return node

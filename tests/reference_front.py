@@ -3,6 +3,10 @@ table: a character-by-character lexer and a recursive-descent parser with
 one method per precedence level.  ``test_front_oracle`` compares
 :mod:`calang.syntax` against it.
 
+The network-expression parser at the end is the one :mod:`calang.aggregate`
+had before network expressions went through :mod:`calang.syntax`: its own
+lexer, and binary ``Serial`` nodes walked recursively.
+
 One deliberate difference from that front end: a number is a run of
 decimal digits (``str.isdecimal``, what ``int()`` accepts).  The old
 lexer took any ``str.isdigit`` character, so ``1 + \u00b2`` crashed in
@@ -14,7 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
+
+from calang.aggregate import (
+    CONNECT_CHANNEL,
+    COMM_COST,
+    BoxRef,
+    Instance,
+    NetworkError,
+    Parallel,
+    _parallel_rule,
+    _serial_rule,
+    box_latency_model,
+    clone_declaration,
+)
+from calang.clauses import BoxDeclaration
 
 from calang.syntax import (
     ANON_VARIABLE,
@@ -49,6 +67,7 @@ from calang.syntax import (
     Unary,
     VarRef,
 )
+from calang.terms import Term, VarScope, VarSupply, desugar
 
 
 @dataclass(frozen=True)
@@ -448,3 +467,176 @@ def parse_term(source: str) -> SurfaceTerm:
     t = p.expression()
     p.expect(EOF, what="end of input")
     return t
+
+
+# ---------------------------------------------------------------------------
+# Network expressions
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Serial:
+    left: "NetExpr"
+    right: "NetExpr"
+    comm: Optional[Term] = None  # per-edge communication cost override
+
+
+NetExpr = Union[BoxRef, Serial, Parallel]
+
+
+def _env_term(text: str, scope: Optional[VarScope] = None) -> Term:
+    return desugar(parse_term(text), scope or VarScope())
+
+
+class _NetExprParser:
+    """Box expressions: names combined with ``..`` (serial, optional
+    ``..[cost]``) and ``|`` (parallel); ``..`` binds tighter."""
+
+    def __init__(self, text: str, library: dict[str, BoxDeclaration], supply: VarSupply,
+                 counts: dict[str, int]):
+        self.tokens = self._lex(text)
+        self.i = 0
+        self.library = library
+        self.supply = supply
+        self.counts = counts
+
+    @staticmethod
+    def _lex(text: str) -> list[str]:
+        out = []
+        i = 0
+        while i < len(text):
+            c = text[i]
+            if c.isspace():
+                i += 1
+            elif text[i:i + 2] == "..":
+                out.append("..")
+                i += 2
+            elif c in "()|":
+                out.append(c)
+                i += 1
+            elif c == "[":
+                depth = 1
+                j = i + 1
+                while j < len(text) and depth:
+                    if text[j] == "[":
+                        depth += 1
+                    elif text[j] == "]":
+                        depth -= 1
+                    j += 1
+                if depth:
+                    raise NetworkError("unterminated '[' in network expression")
+                out.append(text[i:j])
+                i = j
+            elif c.isalnum() or c == "_":
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                out.append(text[i:j])
+                i = j
+            else:
+                raise NetworkError(f"unexpected character {c!r} in network expression")
+        return out
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def next(self) -> Optional[str]:
+        t = self.peek()
+        if t is not None:
+            self.i += 1
+        return t
+
+    def parse(self) -> NetExpr:
+        e = self.parallel()
+        if self.peek() is not None:
+            raise NetworkError(f"trailing input in network expression: {self.peek()!r}")
+        return e
+
+    def parallel(self) -> NetExpr:
+        branches = [self.serial()]
+        while self.peek() == "|":
+            self.next()
+            branches.append(self.serial())
+        return branches[0] if len(branches) == 1 else Parallel(branches)
+
+    def serial(self) -> NetExpr:
+        e = self.atom()
+        while self.peek() == "..":
+            self.next()
+            comm = None
+            nxt = self.peek()
+            if nxt is not None and nxt.startswith("["):
+                self.next()
+                text = nxt[1:-1]
+                comm = _env_term(text)
+            e = Serial(e, self.atom(), comm)
+        return e
+
+    def atom(self) -> NetExpr:
+        t = self.next()
+        if t == "(":
+            e = self.parallel()
+            if self.next() != ")":
+                raise NetworkError("expected ')' in network expression")
+            return e
+        if t is None or t in ("|", "..", ")"):
+            raise NetworkError("expected a box name in network expression")
+        decl = self.library.get(t)
+        if decl is None:
+            raise NetworkError(f"unknown box {t!r} (missing 'use' line?)")
+        self.counts[t] = self.counts.get(t, 0) + 1
+        name = t if self.counts[t] == 1 else f"{t}_{self.counts[t]}"
+        return BoxRef(Instance(name, clone_declaration(decl, self.supply)))
+
+
+def instances(e: NetExpr) -> list[Instance]:
+    if isinstance(e, BoxRef):
+        return [e.instance]
+    if isinstance(e, Serial):
+        return instances(e.left) + instances(e.right)
+    return [i for b in e.branches for i in instances(b)]
+
+
+def input_ends(expr: NetExpr) -> list[Instance]:
+    if isinstance(expr, BoxRef):
+        return [expr.instance]
+    if isinstance(expr, Serial):
+        return input_ends(expr.left)
+    return [i for b in expr.branches for i in input_ends(b)]
+
+
+def output_ends(expr: NetExpr) -> list[Instance]:
+    if isinstance(expr, BoxRef):
+        return [expr.instance]
+    if isinstance(expr, Serial):
+        return output_ends(expr.right)
+    return [i for b in expr.branches for i in output_ends(b)]
+
+
+def connections(e: NetExpr) -> list[tuple[Instance, Instance, list]]:
+    """(upstream, downstream, field pairs) for every serial edge, in the
+    order ``build_connections`` gave them."""
+    if isinstance(e, BoxRef):
+        return []
+    if isinstance(e, Parallel):
+        return [c for b in e.branches for c in connections(b)]
+    out = connections(e.left) + connections(e.right)
+    for up in output_ends(e.left):
+        up_fields = up.decl.outputs[CONNECT_CHANNEL]
+        for down in input_ends(e.right):
+            pairs = [(up.decl.object_vars[a], down.decl.object_vars[b])
+                     for a, b in zip(up_fields, down.decl.inputs)]
+            out.append((up, down, pairs))
+    return out
+
+
+def aggregate_extrafunctional(expr: NetExpr, store, default_comm: Term = COMM_COST):
+    if isinstance(expr, BoxRef):
+        return box_latency_model(expr.instance, store)
+    if isinstance(expr, Serial):
+        left = aggregate_extrafunctional(expr.left, store, default_comm)
+        right = aggregate_extrafunctional(expr.right, store, default_comm)
+        comm = expr.comm if expr.comm is not None else default_comm
+        fan_out = len(input_ends(expr.right)) > 1
+        return _serial_rule(left, right, comm, fan_out)
+    models = [aggregate_extrafunctional(b, store, default_comm) for b in expr.branches]
+    return _parallel_rule(models)

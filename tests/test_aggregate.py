@@ -74,7 +74,7 @@ def make_net(*sources, expr=None):
 
 def serial_net(name="main"):
     insts, _ = make_net(A_SRC, B_SRC)
-    return Network(name, Serial(BoxRef(insts["A"]), BoxRef(insts["B"]))), insts
+    return Network(name, Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None])), insts
 
 
 class TestConnections:
@@ -90,7 +90,7 @@ class TestConnections:
         insts, _ = make_net(
             "box A ((x) -> (y,z)):",
             "box B ((p,r) -> (q)):")
-        net = Network("m", Serial(BoxRef(insts["A"]), BoxRef(insts["B"])))
+        net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
         (conn,) = build_connections(net)
         names = [(u.name, d.name) for u, d in conn.pairs]
         assert names == [("y", "p"), ("z", "r")]
@@ -99,7 +99,7 @@ class TestConnections:
         insts, _ = make_net(
             "box A ((x) -> (y)):",
             "box B ((p,r) -> (q)):")
-        net = Network("m", Serial(BoxRef(insts["A"]), BoxRef(insts["B"])))
+        net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
         with pytest.raises(NetworkError) as e:
             build_connections(net)
         assert "A" in str(e.value) and "B" in str(e.value)
@@ -121,7 +121,7 @@ class TestFunctionalAggregation:
         insts, _ = make_net(
             "box A ((x) -> (y)):\n  $x :=: {value($n)} \\/ $_ => $$T0 :=: 1;",
             B_SRC)
-        net = Network("m", Serial(BoxRef(insts["A"]), BoxRef(insts["B"])))
+        net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
         env = EnvSpec(fields={("A", "x"): term("{value(3)}")})
         ev = aggregate_functional(net, network_input_store(net, env))
         (br,) = ev.branches
@@ -204,11 +204,12 @@ class TestExtrafunctional:
 
     def test_serial_associativity_modulo_plus(self):
         insts, _ = make_net(A_SRC, B_SRC, "box C ((r) -> (s)): => $$T0 :=: 5;")
-        left_assoc = Serial(Serial(BoxRef(insts["A"]), BoxRef(insts["B"])),
-                            BoxRef(insts["C"]))
+        left_assoc = Serial([Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]),
+                             BoxRef(insts["C"])], [None])
         insts2, _ = make_net(A_SRC, B_SRC, "box C ((r) -> (s)): => $$T0 :=: 5;")
-        right_assoc = Serial(BoxRef(insts2["A"]),
-                             Serial(BoxRef(insts2["B"]), BoxRef(insts2["C"])))
+        right_assoc = Serial([BoxRef(insts2["A"]),
+                              Serial([BoxRef(insts2["B"]), BoxRef(insts2["C"])], [None])],
+                             [None])
 
         def t_of(expr, insts_map):
             net = Network("m", expr)
@@ -294,13 +295,22 @@ class TestNetworkFiles:
         nf = parse_network_file("use pipeline.cal\nnet m = A .. (B | B)\n",
                                 base_dir=fixtures_dir)
         (net,) = nf.networks
-        assert isinstance(net.expr.right, Parallel)
+        assert isinstance(net.expr.stages[-1], Parallel)
 
     def test_edge_cost_override(self, fixtures_dir):
         nf = parse_network_file("use pipeline.cal\nnet m = A ..[net_hop] B\n",
                                 base_dir=fixtures_dir)
         (net,) = nf.networks
-        assert net.expr.comm == Sym("net_hop")
+        assert net.expr.comms == [Sym("net_hop")]
+
+    @pytest.mark.parametrize("line, where", [
+        ("net = A", "line 2, column 5: expected 'network name', found '='"),
+        ("net a b = B", "line 2, column 7: expected '=', found 'b'"),
+    ])
+    def test_network_name_is_one_identifier(self, fixtures_dir, line, where):
+        with pytest.raises(syntax.CalSyntaxError) as e:
+            parse_network_file(f"use pipeline.cal\n{line}\n", base_dir=fixtures_dir)
+        assert str(e.value) == where
 
     def test_unknown_box_is_error(self, fixtures_dir):
         with pytest.raises(NetworkError):

@@ -216,6 +216,53 @@ class TestAggregate:
         assert "limits(10, 30)" in target.read_text()
 
 
+    def test_double_negation_cost_reads_back(self, capsys, fixtures_dir, tmp_path):
+        net = tmp_path / "neg.net"
+        net.write_text(f"use {fixtures_dir / 'pipeline.cal'}\nnet m = A ..[- - $x] B\n")
+        code, out = run(capsys, "aggregate", "--net", str(net),
+                        "--env", str(fixtures_dir / "pipeline.env"))
+        assert code == 0
+        assert "$$T0 = 3 * log(3) + (-(-$x) + 1)" in out
+
+
+class TestInputPositions:
+    """Syntax errors in network and environment files name the file's line
+    and column."""
+
+    def aggregate(self, capsys, fixtures_dir, tmp_path, net_text, env_text=None):
+        net = tmp_path / "m.net"
+        net.write_text(net_text.replace("LIB", str(fixtures_dir / "pipeline.cal")))
+        env = tmp_path / "m.env"
+        env.write_text(env_text or (fixtures_dir / "pipeline.env").read_text())
+        return run(capsys, "aggregate", "--net", str(net), "--env", str(env))
+
+    def test_bad_cost_term(self, capsys, fixtures_dir, tmp_path):
+        code, out = self.aggregate(capsys, fixtures_dir, tmp_path,
+                                   "-- costs\nuse LIB\n\nnet m = A ..[+] B\n")
+        assert code == 1
+        assert "error: line 4, column 15: expected a term, found ']'" in out
+
+    # Only "\n" ends a line, as in CAL text: "\x0c" and "\u2028" are whitespace.
+    @pytest.mark.parametrize("space", [" ", "\x0c", "\u2028"])
+    def test_bad_env_term(self, capsys, fixtures_dir, tmp_path, space):
+        code, out = self.aggregate(capsys, fixtures_dir, tmp_path, "use LIB\nnet m = A .. B\n",
+                                   f"-- inputs{space}\n\nA.$x = {{value(3),{space}}}\n")
+        assert code == 1
+        assert "error: line 3, column 19: expected a term, found '}'" in out
+
+    @pytest.mark.parametrize("expr, where", [
+        ("A .. NOPE", "line 2, column 14: unknown box 'NOPE'"),
+        ("A .. | B", "line 2, column 14: expected a box name, found '|'"),
+        ("(A .. B", "line 2, column 16: expected ')', found 'end of input'"),
+        ("A ; B", "line 2, column 11: expected 'end of input', found ';'"),
+        ("A # B", "line 2, column 11: unexpected character '#'"),
+    ])
+    def test_network_expression_errors(self, capsys, fixtures_dir, tmp_path, expr, where):
+        code, out = self.aggregate(capsys, fixtures_dir, tmp_path, f"use LIB\nnet m = {expr}\n")
+        assert code == 1
+        assert f"error: {where}" in out
+
+
 DEEP_PREFIX = "box D ((x) -> (y)): => $y = "
 
 
@@ -262,6 +309,36 @@ class TestDeepNesting:
         assert code == 0 and f"  $y = {value}\n" in out
         code, out = run(capsys, "horn", cal)
         assert code == 0 and out.count("num_eq(Y_1_0, ") == 1
+
+
+class TestLongNetworks:
+    """Chains are walked in a loop; parentheses are bounded like terms."""
+
+    BOX = "box B ((x) -> (y)):\n"
+
+    def aggregate(self, capsys, tmp_path, expr):
+        (tmp_path / "b.cal").write_text(self.BOX)
+        (tmp_path / "m.net").write_text(f"use b.cal\nnet m = {expr}\n")
+        return run(capsys, "aggregate", "--net", str(tmp_path / "m.net"))
+
+    def test_long_chain(self, capsys, tmp_path):
+        code, out = self.aggregate(capsys, tmp_path, " .. ".join(["B"] * 1500))
+        assert code == 0
+        assert "B_1500: fired clauses = (none)" in out
+        assert "  $$T0 = unknown" + " + (comm_cost + unknown)" * 1499 + "\n" in out
+
+    @pytest.mark.parametrize("depth", [250, 3000])
+    def test_deep_parentheses(self, capsys, tmp_path, depth):
+        code, out = self.aggregate(capsys, tmp_path, "(" * depth + "B" + ")" * depth)
+        assert code == 1
+        col = len("net m = ") + MAX_TERM_DEPTH + 1
+        assert f"error: line 2, column {col}: term nested too deeply" in out
+
+    def test_parentheses_at_the_bound(self, capsys, tmp_path):
+        depth = MAX_TERM_DEPTH
+        code, out = self.aggregate(capsys, tmp_path, "(" * depth + "B .. B" + ")" * depth)
+        assert code == 0
+        assert "$$T0 = unknown + (comm_cost + unknown)" in out
 
 
 def test_non_decimal_digit_is_reported(capsys, tmp_path):

@@ -7,12 +7,26 @@ tokens with whitespace, Unicode whitespace and comments, and may replace,
 insert or delete tokens with stray characters, Unicode letters and digits.
 Both front ends must give the same tokens, the same trees with the same
 header and clause positions, or the same error at the same position.
+
+Network expressions are compared with the reference's network parser on
+generated expressions: both must give the same box instances in the same
+order, the same connections and the same aggregated costs.
 """
+
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import reference_front as ref
 from calang import syntax
+from calang.aggregate import (
+    aggregate_extrafunctional,
+    build_connections,
+    parse_network_file,
+)
+from calang.clauses import evaluate_box, flatten_provided
+from calang.terms import VarSupply, term_text
+from calang.unify import BindingStore
 
 # -- generator -------------------------------------------------------------
 
@@ -87,7 +101,8 @@ SEPARATORS = st.sampled_from([" ", " ", "\n", "\t", "  \n  ", "\r\n", "\x0c", "\
                               "\u2003", "\u2028", "\u3000", " -- a comment, é ² \\ $\n", "--\n"])
 NOISE = st.sampled_from(["\\", "\\plus", "!", "$", "$$", "$1", "$$$a", "²", "½", "x²", "٣",
                          "1²", "@", "#", "\x00", "€", "é", "5/0", "3/00", "-", "--", "->",
-                         ":=", ":", "=", "\u00a0", "\n", ")", "(", "{", "box", "end", ";"])
+                         ":=", ":", "=", "\u00a0", "\n", ")", "(", "{", "box", "end", ";",
+                         "..", "|", "[", "]"])
 
 
 @st.composite
@@ -179,3 +194,69 @@ def test_render_round_trip(text):
     except syntax.CalSyntaxError:
         return  # the generator writes some ill-formed terms, such as "a * -b"
     assert syntax.parse_program(syntax.render(decls)) == decls
+
+
+# -- network expressions ---------------------------------------------------
+
+FIXTURES = Path(__file__).parent / "fixtures"
+NET_NAMES = st.sampled_from(["A", "B", "C", "P"])
+NET_COSTS = st.sampled_from(["", "", "[hop]", "[2]", "[$x * 2]", "[- - $x]",
+                             "[{} \\/ $w]", "[1/2 + $$n]"])
+NET_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+MAX_NET_PARENS = 20
+
+
+@st.composite
+def net_texts(draw, depth: int = 0) -> str:
+    """Names joined by ``..`` (with or without a cost) and ``|``; a stage
+    may be a parenthesised expression, wrapped in up to
+    ``MAX_NET_PARENS`` parentheses in all."""
+    def stage() -> str:
+        if depth < MAX_NET_PARENS and draw(st.integers(0, 4)) == 0:
+            k = draw(st.integers(1, MAX_NET_PARENS - depth))
+            return "(" * k + draw(net_texts(depth + k)) + ")" * k
+        return draw(NET_NAMES)
+
+    def sep() -> str:
+        return draw(NET_SPACES)
+
+    chains = []
+    for _ in range(draw(st.integers(1, 2))):
+        chain = stage()
+        for _ in range(draw(st.integers(0, 2))):
+            chain += sep() + ".." + draw(NET_COSTS) + sep() + stage()
+        chains.append(chain)
+    return (sep() + "|" + sep()).join(chains)
+
+
+def _net_summary(instances, connections, costs):
+    """Instance names in order, connections by name and aggregated costs;
+    each box is evaluated on its own, since its clause has no condition."""
+    store = BindingStore()
+    for inst in instances:
+        (branch,) = evaluate_box(inst.decl, store).branches
+        store = branch.store
+    model = costs(store)
+    return ([i.name for i in instances],
+            [(u.name, d.name, [(a.name, b.name) for a, b in pairs])
+             for u, d, pairs in connections],
+            {f"T{n}": term_text(t) for n, t in model.latency.items()},
+            {f"M{n}": term_text(t) for n, t in model.messages.items()})
+
+
+@settings(max_examples=100, deadline=None)
+@given(net_texts())
+def test_networks_agree_with_reference(text):
+    (net,) = parse_network_file(f"use relays.cal\nnet m = {text}\n",
+                                base_dir=FIXTURES).networks
+    got = _net_summary(net.instances(),
+                       [(c.upstream, c.downstream, c.pairs) for c in build_connections(net)],
+                       lambda store: aggregate_extrafunctional(net.expr, store))
+    library = {}
+    for decl in syntax.parse_program((FIXTURES / "relays.cal").read_text()):
+        flattened = flatten_provided(decl, VarSupply())
+        library[flattened.name] = flattened
+    expr = ref._NetExprParser(text, library, VarSupply("i"), {}).parse()
+    want = _net_summary(ref.instances(expr), ref.connections(expr),
+                        lambda store: ref.aggregate_extrafunctional(expr, store))
+    assert got == want

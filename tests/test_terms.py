@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from calang import syntax
 from calang.terms import (
@@ -274,14 +274,65 @@ def test_map_vars_returns_ground_term_itself(t):
     assert list(iter_vars(t)) == []
 
 
+# Surface terms in every shape the parser builds; ``$_`` is left out
+# because each occurrence desugars to a fresh variable.
+SURFACE_TERMS = st.recursive(
+    st.one_of(
+        st.fractions(min_value=-20, max_value=20, max_denominator=4).map(syntax.NumberLit),
+        st.sampled_from(["a", "nil", "log", "x_1"]).map(syntax.Name),
+        st.sampled_from([("x", 1), ("y", 1), ("n", 2)]).map(lambda v: syntax.VarRef(*v)),
+        st.just(syntax.SetLit(())),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.sampled_from("+-"), children).map(lambda t: syntax.Unary(*t)),
+        st.tuples(st.sampled_from(["+", "-", "*", "/", "^", "\\/"]), children, children).map(
+            lambda t: syntax.Binary(*t)),
+        st.lists(children, min_size=2, max_size=3).map(
+            lambda ms: syntax.TupleLit(tuple(ms))),
+        st.tuples(st.sampled_from(["f", "value"]), st.lists(children, min_size=1, max_size=3))
+        .map(lambda t: syntax.HeadTuple(t[0], tuple(t[1]))),
+        st.lists(children, max_size=3).map(lambda ms: syntax.SetLit(tuple(ms))),
+    ),
+    max_leaves=8)
+
+
+@settings(max_examples=300)
+@given(SURFACE_TERMS)
+def test_term_text_round_trips_desugared_terms(node):
+    scope = VarScope()
+    t = desugar(node, scope)
+    assert desugar(syntax.parse_term(term_text(t)), scope) == t
+
+
 class TestTermText:
     @pytest.mark.parametrize("text", [
         "7 * log(7) / 4", "7 ^ 3/2", "{value(500), Type(int)}",
         "shape(7, (7, nil))", "{a} \\/ $v", "1 + 2 * 3", "(1 + 2) * 3",
+        "- - $x", "{} \\/ $v", "({a} \\/ $v) \\/ b",
     ])
     def test_round_trips_through_parser(self, text):
         t = d(text)
         assert desugar(syntax.parse_term(term_text(t))) == t
+
+    @pytest.mark.parametrize("text, rendered", [
+        # "--" would start a comment.
+        ("- - $x", "-(-$x)"),
+        # "$v" alone would read back as an individual.
+        ("{} \\/ $v", "{} \\/ $v"),
+        ("$v \\/ $w", "$v \\/ $w"),
+        # A raw union of a set and a symbol: the set's union needs no
+        # parentheses as the first operand.
+        ("({a} \\/ $v) \\/ b", "{a} \\/ $v \\/ b"),
+        ("b \\/ ({a} \\/ $v)", "b \\/ ({a} \\/ $v)"),
+    ])
+    def test_rendering(self, text, rendered):
+        assert term_text(d(text)) == rendered
+
+    def test_long_sum_renders(self):
+        t = Num(Fraction(1))
+        for _ in range(3000):
+            t = Tup((Sym(PLUS), t, Num(Fraction(1))))
+        assert term_text(t) == " + ".join(["1"] * 3001)
 
     def test_anonymous_renders_as_blackhole(self):
         assert term_text(d("$_")) == "$_"
