@@ -224,8 +224,7 @@ class NetEvaluation:
     diagnostics: list[Diagnostic]
 
 
-def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None,
-                         constants=None) -> NetEvaluation:
+def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) -> NetEvaluation:
     """Evaluate the network's boxes in topological order, flowing object
     variable associations across every serial edge by unification."""
     order = net.instances()
@@ -272,7 +271,7 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None,
                             joined.append(s)
                     stores = joined
             for s in stores:
-                ev = evaluate_box(inst.decl, s, constants)
+                ev = evaluate_box(inst.decl, s)
                 for d in ev.diagnostics:
                     diag(d.severity, f"{inst.name}: {d.message}")
                 if not ev.branches:
@@ -395,21 +394,20 @@ def _parallel_rule(models: list[LatencyModel]) -> LatencyModel:
     return out
 
 
-def aggregate_extrafunctional(expr: NetExpr, store: BindingStore,
-                              default_comm: Term = COMM_COST) -> LatencyModel:
+def aggregate_extrafunctional(expr: NetExpr, store: BindingStore) -> LatencyModel:
     """Fold the combinator tree into one latency model for the network."""
     if isinstance(expr, BoxRef):
         return box_latency_model(expr.instance, store)
     if isinstance(expr, Serial):
         # Folding from the left gives a chain the latency shape of
         # ((A .. B) .. C): T_A + (comm + T_B), then + (comm + T_C).
-        model = aggregate_extrafunctional(expr.stages[0], store, default_comm)
+        model = aggregate_extrafunctional(expr.stages[0], store)
         for comm, stage in zip(expr.comms, expr.stages[1:]):
-            right = aggregate_extrafunctional(stage, store, default_comm)
-            model = _serial_rule(model, right, default_comm if comm is None else comm,
+            right = aggregate_extrafunctional(stage, store)
+            model = _serial_rule(model, right, COMM_COST if comm is None else comm,
                                  fan_out=len(input_ends(stage)) > 1)
         return model
-    models = [aggregate_extrafunctional(b, store, default_comm) for b in expr.branches]
+    models = [aggregate_extrafunctional(b, store) for b in expr.branches]
     return _parallel_rule(models)
 
 

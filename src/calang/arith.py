@@ -54,7 +54,7 @@ UNKNOWN = Special.UNKNOWN
 
 NumericValue = Union[Fraction, Special]
 
-# The paper-facing "maximum integer" constant; configurable per call.
+# The paper-facing "maximum integer" constant.
 MAXINT = Fraction(2**63 - 1)
 
 DEFAULT_CONSTANTS: dict[str, NumericValue] = {
@@ -173,8 +173,7 @@ def apply_builtin(name: str, args: list[NumericValue]) -> Union[NumericValue, Pr
     return UNKNOWN
 
 
-def eval_numeric(t: Term, store: Optional[BindingStore] = None,
-                 constants: Optional[dict[str, NumericValue]] = None
+def eval_numeric(t: Term, store: Optional[BindingStore] = None
                  ) -> Union[NumericValue, PredicateFailure]:
     """Evaluate a term arithmetically.
 
@@ -184,8 +183,6 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None,
     """
     if store is None:
         store = BindingStore()
-    if constants is None:
-        constants = DEFAULT_CONSTANTS
 
     match t:
         case SetTerm():
@@ -193,7 +190,7 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None,
         case Num():
             return t.value
         case Sym():
-            value = constants.get(t.name)
+            value = DEFAULT_CONSTANTS.get(t.name)
             if value is None:
                 return PredicateFailure(UNKNOWN_SYMBOL, t.name)
             return value
@@ -201,7 +198,7 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None,
             b = store.binding(t)
             if b is None:
                 return PredicateFailure(UNBOUND_VARIABLE, t.name)
-            return eval_numeric(b, store, constants)
+            return eval_numeric(b, store)
         case Tup():
             if not t.members:
                 return PredicateFailure(UNKNOWN_FUNCTION, "()")
@@ -214,7 +211,7 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None,
                 return PredicateFailure(UNKNOWN_FUNCTION, term_text(head))
             args: list[NumericValue] = []
             for m in t.members[1:]:
-                v = eval_numeric(m, store, constants)
+                v = eval_numeric(m, store)
                 if isinstance(v, PredicateFailure):
                     return v
                 args.append(v)
@@ -250,8 +247,7 @@ def _compare(op: str, a: NumericValue, b: NumericValue) -> Union[bool, Predicate
 
 
 def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] = None,
-                  frozen: frozenset[Var] = frozenset(),
-                  constants: Optional[dict[str, NumericValue]] = None
+                  frozen: frozenset[Var] = frozenset()
                   ) -> Union[tuple[bool, BindingStore], PredicateFailure]:
     """Evaluate a relation, possibly extending the store.
 
@@ -264,15 +260,13 @@ def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] =
     """
     if store is None:
         store = BindingStore()
-    if constants is None:
-        constants = DEFAULT_CONSTANTS
 
     if op == "=" and isinstance(lhs, Var):
         target = resolve(lhs, store)
         if isinstance(target, Var):
             if target in frozen:
                 return PredicateFailure(FROZEN_VARIABLE, target.name)
-            rhs_value = eval_numeric(rhs, store, constants)
+            rhs_value = eval_numeric(rhs, store)
             if isinstance(rhs_value, Fraction):
                 return True, store.bind(target, Num(rhs_value))
             if rhs_value in (POS_INF, NEG_INF, UNKNOWN):
@@ -287,10 +281,10 @@ def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] =
                 return PredicateFailure(SET_IN_ARITH, term_text(rhs_set))
             return rhs_value
 
-    lhs_value = eval_numeric(lhs, store, constants)
+    lhs_value = eval_numeric(lhs, store)
     if isinstance(lhs_value, PredicateFailure):
         return lhs_value
-    rhs_value = eval_numeric(rhs, store, constants)
+    rhs_value = eval_numeric(rhs, store)
     if isinstance(rhs_value, PredicateFailure):
         return rhs_value
     verdict = _compare(op, lhs_value, rhs_value)

@@ -27,7 +27,7 @@ from . import syntax
 from .arith import PredicateFailure, eval_relation
 from .syntax import Declaration, Pos, ProvidedBlock
 from .terms import ENVIRONMENT, Term, Var, VarScope, VarSupply, desugar, term_text
-from .unify import BindingStore, resolve, solution_snapshot, unify
+from .unify import BindingStore, solution_snapshot, unify
 
 
 @dataclass(frozen=True)
@@ -179,28 +179,43 @@ class BoxEvaluation:
     diagnostics: list[Diagnostic]
 
 
-def evaluate_condition(preds: Iterable[Predicate], store: BindingStore,
-                       frozen: frozenset[Var] = frozenset(),
-                       constants=None) -> list[BindingStore]:
-    """All stores under which every predicate holds; empty when the
-    condition is not satisfied."""
+def _walk(preds: Iterable[Predicate], store: BindingStore,
+          frozen: frozenset[Var] = frozenset()) -> tuple[list[BindingStore], list[tuple]]:
+    """Conjoin ``preds`` over ``store``: the stores under which every
+    predicate holds, and a ``(reason, predicate)`` pair for each store a
+    predicate discarded, the reason being a :class:`PredicateFailure`,
+    "cannot hold" (no unifier) or "does not hold" (a false relation)."""
     stores = [store]
+    failed: list[tuple] = []
     for p in preds:
         nxt: list[BindingStore] = []
         for s in stores:
             if isinstance(p, Equivalence):
-                nxt.extend(unify(p.lhs, p.rhs, s, frozen))
+                got = unify(p.lhs, p.rhs, s, frozen)
+                if not got:
+                    failed.append(("cannot hold", p))
+                nxt.extend(got)
+                continue
+            out = eval_relation(p.lhs, p.op, p.rhs, s, frozen)
+            if isinstance(out, PredicateFailure):
+                failed.append((out, p))
+                continue
+            holds, s2 = out
+            if holds:
+                nxt.append(s2)
             else:
-                out = eval_relation(p.lhs, p.op, p.rhs, s, frozen, constants)
-                if isinstance(out, PredicateFailure):
-                    continue
-                holds, s2 = out
-                if holds:
-                    nxt.append(s2)
+                failed.append(("does not hold", p))
         stores = nxt
         if not stores:
             break
-    return stores
+    return stores, failed
+
+
+def evaluate_condition(preds: Iterable[Predicate], store: BindingStore,
+                       frozen: frozenset[Var] = frozenset()) -> list[BindingStore]:
+    """All stores under which every predicate holds; empty when the
+    condition is not satisfied."""
+    return _walk(preds, store, frozen)[0]
 
 
 @dataclass
@@ -211,43 +226,24 @@ class FireResult:
 
 
 def fire_clause(clause: Clause, store: BindingStore,
-                frozen: frozenset[Var] = frozenset(), constants=None) -> FireResult:
+                frozen: frozenset[Var] = frozenset()) -> FireResult:
     """Evaluate one clause: check the condition, then apply assertions.
 
-    Assertions use the same predicate machinery with no binding
-    restrictions; a failing assertion discards its branch and is
-    reported, since it marks an inconsistent specification.
+    Assertions use the same predicate walk with no binding restrictions;
+    a failing assertion discards its branch and is reported, since it
+    marks an inconsistent specification.
     """
-    cond_stores = evaluate_condition(clause.conditions, store, frozen, constants)
+    cond_stores = evaluate_condition(clause.conditions, store, frozen)
     if not cond_stores:
         return FireResult(False, [], [])
 
     result: list[BindingStore] = []
     failures: list[str] = []
     for s in cond_stores:
-        stores = [s]
-        for p in clause.assertions:
-            nxt: list[BindingStore] = []
-            for s2 in stores:
-                if isinstance(p, Equivalence):
-                    got = unify(p.lhs, p.rhs, s2)
-                    if not got:
-                        failures.append(f"assertion cannot hold: {p}")
-                    nxt.extend(got)
-                else:
-                    out = eval_relation(p.lhs, p.op, p.rhs, s2, frozenset(), constants)
-                    if isinstance(out, PredicateFailure):
-                        failures.append(f"assertion failed ({out}): {p}")
-                        continue
-                    holds, s3 = out
-                    if holds:
-                        nxt.append(s3)
-                    else:
-                        failures.append(f"assertion does not hold: {p}")
-            stores = nxt
-            if not stores:
-                break
+        stores, failed = _walk(clause.assertions, s)
         result.extend(stores)
+        failures.extend(f"assertion failed ({reason}): {p}" if isinstance(reason, PredicateFailure)
+                        else f"assertion {reason}: {p}" for reason, p in failed)
     return FireResult(True, result, failures)
 
 
@@ -269,8 +265,7 @@ def branch_snapshot(store: BindingStore) -> tuple:
     return tuple(zip((v.vid for v in rvars), snap))
 
 
-def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None,
-                 constants=None) -> BoxEvaluation:
+def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) -> BoxEvaluation:
     """Evaluate every clause, in order, against the input associations.
 
     Clause effects accumulate per branch; a clause whose condition fails
@@ -288,7 +283,7 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None,
         nxt: list[Branch] = []
         fired_somewhere = False
         for br in branches:
-            fr = fire_clause(clause, br.store, frozen, constants)
+            fr = fire_clause(clause, br.store, frozen)
             for msg in fr.failures:
                 diagnostics.append(Diagnostic("warning", f"{label}: {msg}", clause.pos))
             if not fr.condition_held:
@@ -316,6 +311,8 @@ def merge_branches(branches: list) -> list:
     Serves box branches and network branches alike: both carry a
     ``store``.  Order is preserved.
     """
+    if len(branches) < 2:
+        return branches
     seen = set()
     out = []
     for br in branches:

@@ -195,9 +195,7 @@ def cmd_aggregate(args) -> int:
             table: dict[str, str] = {}
             for inst in net.instances():
                 fired = br.fired.get(inst.name, ())
-                table[f"{inst.name}: fired clauses"] = (
-                    ", ".join(str(i + 1) for i in fired) if fired else "(none)")
-                for key, value in _store_table(inst.decl, br.store).items():
+                for key, value in _store_table(inst.decl, br.store, fired).items():
                     table[f"{inst.name}: {key}"] = value
             model = agg.aggregate_extrafunctional(net.expr, br.store)
             for n in sorted(model.latency):

@@ -32,13 +32,12 @@ _OP_NAMES = {PLUS: "plus", MINUS: "minus", TIMES: "times", SLASH: "slash", HAT: 
 class HornClause:
     head: Predicate
     body: tuple[Predicate, ...]
-    origin: str  # provenance label, e.g. "MYBOX clause 2"
 
 
-def to_horn(clause: Clause, origin: str = "") -> list[HornClause]:
+def to_horn(clause: Clause) -> list[HornClause]:
     """Expand one clause into one Horn clause per assertion, each with
     the full condition list as body."""
-    return [HornClause(a, clause.conditions, origin) for a in clause.assertions]
+    return [HornClause(a, clause.conditions) for a in clause.assertions]
 
 
 def _atom(name: str) -> str:
@@ -105,12 +104,11 @@ def export_horn(decls: Iterable[BoxDeclaration]) -> str:
         lines.append(f"% box {decl.name}")
         for ci, clause in enumerate(decl.clauses):
             serial += 1
-            origin = f"{decl.name} clause {ci + 1}"
-            lines.append(f"% {origin} ({clause.pos})")
+            lines.append(f"% {decl.name} clause {ci + 1} ({clause.pos})")
             suffix = str(serial)
             names: dict[Var, str] = {}
             body = None
-            for hc in to_horn(clause, origin):
+            for hc in to_horn(clause):
                 head = _functor_pred(hc.head, names, suffix)
                 # Rendered after the first head, so every body variable is
                 # named by then; later heads leave the body text unchanged.

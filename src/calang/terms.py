@@ -244,7 +244,8 @@ def _merge_union(lhs: Term, rhs: Term) -> Term:
     Sets merge into one flat set and variables join the union list.  Any
     other operand makes the union ill-formed; it is kept as a raw
     ``\\union`` tuple so the predicate that eventually uses it fails,
-    rather than failing here.
+    rather than failing here.  Its leading sets and variables merge into
+    one operand, as the parser reads them back from the rendered text.
     """
     parts = []
     for t in (lhs, rhs):
@@ -254,14 +255,15 @@ def _merge_union(lhs: Term, rhs: Term) -> Term:
             parts.append(t)
     elements: list[Term] = []
     union_vars: list[Var] = []
-    for p in parts:
+    for i, p in enumerate(parts):
         if isinstance(p, SetTerm):
             elements.extend(p.elements)
             union_vars.extend(p.union_vars)
         elif isinstance(p, Var):
             union_vars.append(p)
         else:
-            return Tup((UNION_SYM, *parts))
+            lead = [SetTerm(elements, union_vars)] if i > 1 else parts[:i]
+            return Tup((UNION_SYM, *lead, *parts[i:]))
     return SetTerm(elements, union_vars)
 
 

@@ -42,7 +42,6 @@ from .terms import (
     ENVIRONMENT,
     LOCAL,
     SET,
-    UNION_SYM,
     Num,
     SetTerm,
     Sym,
@@ -171,10 +170,10 @@ def set_violation(r: Term, store: BindingStore) -> Optional[str]:
 
 
 def _set_view(t: Term, store: BindingStore) -> Optional[SetTerm]:
-    """Normalize a set-kind term into resolved ``SetTerm`` form.
-
-    Raw ``\\union`` tuples fold their operands in; any ill-formed
-    structure yields None, which callers turn into failure.
+    """The resolved ``SetTerm`` that a set operand stands for: the set
+    itself or a variable's binding.  Anything else, an ill-formed set
+    or a raw ``\\union`` tuple included, yields None, which callers
+    turn into failure.
     """
     if isinstance(t, SetTerm):
         r = resolve(t, store)
@@ -182,21 +181,6 @@ def _set_view(t: Term, store: BindingStore) -> Optional[SetTerm]:
     if isinstance(t, Var):
         b = store.binding(t)
         return _set_view(b, store) if b is not None else None
-    if isinstance(t, Tup) and t.members and t.head == UNION_SYM:
-        elements: list[Term] = []
-        union_vars: list[Var] = []
-        for op in t.members[1:]:
-            if isinstance(op, Var) and store.binding(op) is None:
-                union_vars.append(op)
-                continue
-            view = _set_view(op, store)
-            if view is None:
-                return None
-            elements.extend(view.elements)
-            union_vars.extend(view.union_vars)
-        # The views are resolved and the other operands unbound.
-        merged = SetTerm(elements, union_vars)
-        return None if set_violation(merged, store) else merged
     return None
 
 
@@ -215,9 +199,9 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
     an occurs check); of two unbound variables, the one that may bind is
     bound, and of two that may, the one with the larger id; non-variable
     basic terms unify only with identical basic terms; tuples unify
-    member-wise at equal arity; tuples and sets never unify unless the
-    tuple is ``\\union``-headed; set against set goes through
-    :func:`unify_sets`.
+    member-wise at equal arity; tuples and sets never unify, and a raw
+    ``\\union`` tuple (an ill-formed union) unifies with nothing; set
+    against set goes through :func:`unify_sets`.
     """
     if store is None:
         store = BindingStore()
@@ -266,7 +250,7 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
                 if not stores:
                     return []
             if _filter and len(stores) > 1:
-                stores = _prune(stores, store, _relevant_vars([t1, t2], store))
+                stores = _prune(stores, _relevant_vars([t1, t2], store))
             return stores
         case _:
             return []
@@ -343,7 +327,7 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
 
     if not _filter:
         return verified
-    return _prune(verified, store, _relevant_vars([v1, v2], store))
+    return _prune(verified, _relevant_vars([v1, v2], store))
 
 
 def _complete_candidate(s: BindingStore, A, B, U, W, absorbed,
@@ -593,8 +577,7 @@ def is_instance_of(specific: list[Term], general: list[Term]) -> bool:
     return next(_match_all(general, specific, BindingStore()), None) is not None
 
 
-def _prune(stores: list[BindingStore], base: BindingStore,
-           rvars: list[Var]) -> list[BindingStore]:
+def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
     """Drop duplicate solutions (same observable content) and solutions
     strictly subsumed by a more general one.  Order is preserved."""
     seen: set[tuple] = set()

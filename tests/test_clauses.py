@@ -173,6 +173,31 @@ class TestFireClause:
             assert not [d for d in ev.diagnostics if d.severity == "warning"], alias
 
 
+    def test_assertion_messages(self):
+        # One box per kind of failing assertion, with the exact warning.
+        cases = [
+            ("=> $y :=: {a}, $y :=: {b};", "assertion cannot hold: $y :=: {b}"),
+            ("=> $y = $z + 1;", "assertion failed (unbound-variable: z): $y = $z + 1"),
+            ("=> $x = 1;", "assertion does not hold: $x = 1"),
+        ]
+        for body, message in cases:
+            box = parse_box(f"box b ((x) -> (y)): {body}")
+            ev = evaluate_box(box, input_store(box, {"x": Num(Fraction(5))}))
+            assert ev.branches == []
+            assert [d.message for d in ev.diagnostics if d.severity == "warning"] == [
+                f"clause 1: {message}", "box b: no consistent evaluation branch"], body
+
+    def test_two_condition_solutions_give_two_messages_in_order(self):
+        # {$e, $f} matches {1, 3} as e=1, f=3 and as e=3, f=1: the first
+        # solution fails the first assertion, the second the second one.
+        box = parse_box("box b ((x) -> (y)): $x :=: {$e, $f} => $e > 1, $f > 1;")
+        fr = fire_clause(box.clauses[0], input_store(box, {"x": term("{1, 3}")}),
+                         frozenset(box.input_vars))
+        assert fr.condition_held and fr.stores == []
+        assert fr.failures == ["assertion does not hold: $e > 1",
+                               "assertion does not hold: $f > 1"]
+
+
 class TestEvaluateBox:
     def test_mybox_large_k(self, mybox_source):
         box = parse_box(mybox_source)

@@ -328,6 +328,16 @@ class TestTermText:
     def test_rendering(self, text, rendered):
         assert term_text(d(text)) == rendered
 
+    @pytest.mark.parametrize("text", [
+        "{} \\/ ({} \\/ a)", "$v \\/ ($w \\/ a)", "$v \\/ ({a} \\/ b)", "{a} \\/ ($v \\/ (b \\/ {}))",
+    ])
+    def test_raw_union_with_leading_sets_round_trips(self, text):
+        # The parser merges the sets and variables that lead a union, so
+        # desugaring must merge them too for the text to read back.
+        t = d(text)
+        assert isinstance(t, Tup)
+        assert desugar(syntax.parse_term(term_text(t))) == t
+
     def test_long_sum_renders(self):
         t = Num(Fraction(1))
         for _ in range(3000):

@@ -13,6 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from calang.arith import SET_IN_ARITH, PredicateFailure, eval_relation
+from calang.syntax import parse_term
 from calang.terms import (
     LOCAL,
     Num,
@@ -20,6 +22,8 @@ from calang.terms import (
     Sym,
     Tup,
     Var,
+    VarScope,
+    desugar,
     free_vars,
     map_vars,
     term_text,
@@ -359,6 +363,22 @@ class TestUnifySets:
         nested = SetTerm([a, SetTerm([b])])
         assert unify_sets(nested, SetTerm([a]), BindingStore()) == []
         assert unify(x, nested) == []
+
+
+    def test_ill_formed_unions_from_text_never_unify(self):
+        # A union with an operand that is neither a set nor a variable
+        # desugars to a raw \\union tuple, which unifies with nothing.
+        scope = VarScope()
+        bad = [desugar(parse_term(text), scope)
+               for text in ("{a} \\/ b", "{a} \\/ b \\/ $v", "$v \\/ f($x)", "{a} \\/ 3")]
+        assert all(isinstance(t, Tup) for t in bad)
+        others = [SetTerm([]), SetTerm([a]), SetTerm([a, b]), SetTerm([a], [w]), y] + bad
+        for t1 in bad:
+            for t2 in others:
+                assert unify(t1, t2) == [], (term_text(t1), term_text(t2))
+                assert unify(t2, t1) == [], (term_text(t2), term_text(t1))
+        out = eval_relation(x, "=", bad[0], BindingStore())
+        assert isinstance(out, PredicateFailure) and out.reason == SET_IN_ARITH
 
 
 class TestMaximalGenerality:
