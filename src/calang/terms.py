@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import syntax
@@ -92,6 +93,9 @@ class Var:
     name: str = field(compare=False)
     category: str = field(compare=False)
     ground = False
+
+    def __hash__(self):
+        return hash(self.vid)
 
     @property
     def anonymous(self) -> bool:
@@ -379,15 +383,17 @@ def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
     A union variable replaced by a set merges into the enclosing set and
     one replaced by a variable becomes that variable; one replaced by an
     individual stays in place, so the well-formedness check can reject
-    it.
+    it.  A term in which nothing changed is returned as it is.
     """
     if isinstance(t, Var):
         return f(t)
     if t.ground:
         return t
     if isinstance(t, Tup):
-        return Tup(tuple(m if m.ground else map_vars(m, f) for m in t.members))
+        members = tuple(m if m.ground else map_vars(m, f) for m in t.members)
+        return t if all(map(is_, members, t.members)) else Tup(members)
     elements = [e if e.ground else map_vars(e, f) for e in t.elements]
+    changed = not all(map(is_, elements, t.elements))
     union_vars: list[Var] = []
     for v in t.union_vars:
         r = f(v)
@@ -395,8 +401,10 @@ def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
             elements.extend(r.elements)
             union_vars.extend(r.union_vars)
         else:
-            union_vars.append(r if isinstance(r, Var) else v)
-    return SetTerm(elements, union_vars)
+            r = r if isinstance(r, Var) else v
+            union_vars.append(r)
+        changed = changed or r is not v
+    return SetTerm(elements, union_vars) if changed else t
 
 
 def free_vars(t: Term) -> list[Var]:

@@ -10,9 +10,7 @@ The set unifier builds candidate solutions from three ingredients:
 
 1. a *witness* choice pairing every element of each side with an element
    of the other side or absorbing it into one of the other side's union
-   variables.  The choices are walked depth first, one element at a
-   time, and each new pair is unified as soon as it is chosen, so a
-   prefix whose pairs fail is dropped with everything that extends it;
+   variables;
 2. an *extras* choice adding already-covered elements to union variables
    (set members may be covered more than once).  A union variable's
    extras are drawn from the known elements the witness did not already
@@ -20,9 +18,12 @@ The set unifier builds candidate solutions from three ingredients:
 3. fresh *remainder* union variables shared between left and right union
    variables, standing for common content the equation does not name.
 
-Every candidate is verified by resolving both operands and checking set
-equality, so unsound choices are dropped; duplicates and strictly less
-general solutions are filtered at the end.  The enumeration is
+One depth-first walk builds, binds and verifies each candidate: the
+witness choices element by element, then each union variable's extras in
+turn.  A choice whose pair does not unify, or whose union variable cannot
+bind, is dropped with everything that extends it; a complete candidate is
+kept when both operands resolve to the same set.  Duplicates and strictly
+less general solutions are filtered at the end.  The enumeration is
 exponential in the set sizes, which is the intended trade: property sets
 are a handful of members.
 
@@ -34,7 +35,6 @@ by :func:`resolve`.  Every walk over a term goes through
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterable, Optional
 
 from .terms import (
@@ -291,94 +291,76 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                + [[("pair", i) for i in range(len(A))] + [("absorb", u) for u in U]
                   for _ in B])
     union_vars = list(dict.fromkeys(U + W))
+    absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
     chosen: list[Optional[tuple]] = [None] * len(options)
-    candidates: list[BindingStore] = []
+    solutions: list[BindingStore] = []
 
     def walk(k: int, stores: list[BindingStore]):
-        # Depth first, in the order of the full product of choices; a pair
-        # is unified as soon as it is chosen, so a failing prefix is
-        # dropped before any of its completions are built.
+        # The witness choices from the k-th element on, in the order of the
+        # full product of choices.
         if k == len(options):
-            absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
-            for i, (kind, target) in enumerate(chosen):
-                if kind == "absorb":
-                    absorbed[target].append(A[i] if i < len(A) else B[i - len(A)])
             for s in stores:
-                candidates.extend(_complete_candidate(s, A, B, U, W, absorbed, frozen))
+                start_extras(s)
             return
+        element = A[k] if k < len(A) else B[k - len(A)]
         for choice in options[k]:
             chosen[k] = choice
             kind, target = choice
             nxt = stores
+            if kind == "absorb":
+                absorbed[target].append(element)
             # A pair that both of its elements chose is unified only once.
-            if kind == "pair" and (k < len(A) or chosen[target] != ("pair", k - len(A))):
-                a, b = (A[k], B[target]) if k < len(A) else (A[target], B[k - len(A)])
+            elif k < len(A) or chosen[target] != ("pair", k - len(A)):
+                a, b = (element, B[target]) if k < len(A) else (A[target], element)
                 nxt = [s2 for s in stores for s2 in unify(a, b, s, frozen, _filter=False)]
-                if not nxt:
-                    continue
-            walk(k + 1, nxt)
+            if nxt:
+                walk(k + 1, nxt)
+            if kind == "absorb":
+                absorbed[target].pop()
 
-    walk(0, [store])
-
-    verified = []
-    for s in candidates:
-        if resolve(v1, s) == resolve(v2, s):
-            verified.append(s)
-
-    if not _filter:
-        return verified
-    return _prune(verified, _relevant_vars([v1, v2], store))
-
-
-def _complete_candidate(s: BindingStore, A, B, U, W, absorbed,
-                        frozen: frozenset[Var]) -> list[BindingStore]:
-    """Finish one witness choice: add extras and remainder variables to
-    every union variable, yielding unverified candidate stores.
-
-    A union variable's extras are any subset of the known elements (both
-    sides, resolved under ``s``) that the witness did not already absorb
-    into that same variable.  Set members collapse, so an extra it holds
-    already would only repeat a candidate built without it.
-    """
-    ordered_vars = list(dict.fromkeys(U + W))
-    if not ordered_vars:
-        return [s]
-
-    known = list(dict.fromkeys(resolve(e, s) for e in A + B))
-    extra_options = []
-    for v in ordered_vars:
-        held = {resolve(e, s) for e in absorbed.get(v, ())}
-        extra_options.append(_subsets([k for k in known if k not in held]))
-
-    out: list[BindingStore] = []
-    for extra_choice in product(*extra_options):
-        s2 = s
-        # Remainder variables shared between each left/right pair of union
-        # variables; a variable occurring on both sides gets a private one.
-        remainders: dict[Var, list[Var]] = {v: [] for v in ordered_vars}
+    def start_extras(s: BindingStore):
+        # The extras and remainders of one witness store.  Each left/right
+        # pair of union variables shares a remainder; a variable occurring
+        # on both sides gets a private one.
+        known = list(dict.fromkeys(resolve(e, s) for e in A + B))
+        extras = []
+        for v in union_vars:
+            held = {resolve(e, s) for e in absorbed[v]}
+            extras.append(_subsets([e for e in known if e not in held]))
+        remainders: dict[Var, list[Var]] = {v: [] for v in union_vars}
         for u in U:
             for w in W:
-                nv, s2 = s2.fresh_union_var()
+                nv, s = s.fresh_union_var()
                 remainders[u].append(nv)
                 if u != w:
                     remainders[w].append(nv)
-        branch = [s2]
-        for v, extras in zip(ordered_vars, extra_choice):
-            nxt = []
-            for st in branch:
-                forced = [resolve(e, st) for e in absorbed.get(v, ())]
-                value = SetTerm(forced + list(extras), remainders[v])
-                if st.binding(v) is not None:
-                    nxt.extend(unify(v, value, st, frozen, _filter=False))
-                else:
-                    b = _bind(st, v, value, frozen)
-                    if b is not None:
-                        nxt.append(b)
-            branch = nxt
-            if not branch:
-                break
-        out.extend(branch)
-    return out
+        bind_extras(0, s, extras, remainders)
+
+    def bind_extras(i: int, s: BindingStore, extras: list, remainders: dict):
+        # The union variables from the i-th on, each bound to the elements
+        # the witness absorbed into it, one choice of extras and its
+        # remainders.
+        if i == len(union_vars):
+            if resolve(v1, s) == resolve(v2, s):
+                solutions.append(s)
+            return
+        v = union_vars[i]
+        forced = [resolve(e, s) for e in absorbed[v]]
+        for extra in extras[i]:
+            value = SetTerm(forced + list(extra), remainders[v])
+            if s.binding(v) is not None:
+                nxt = unify(v, value, s, frozen, _filter=False)
+            else:
+                b = _bind(s, v, value, frozen)
+                nxt = [b] if b is not None else []
+            for s2 in nxt:
+                bind_extras(i + 1, s2, extras, remainders)
+
+    walk(0, [store])
+
+    if not _filter:
+        return solutions
+    return _prune(solutions, _relevant_vars([v1, v2], store))
 
 
 def _subsets(items: list) -> list[tuple]:

@@ -291,6 +291,25 @@ class TestEvaluateBox:
         anon_bound = [v for v, _ in br.store.items() if v.anonymous]
         assert anon_bound  # the guards each bound one black hole
 
+    def test_anonymous_variable_keeps_branches_apart(self):
+        # The two solutions of {a} \/ $_ ~ {a, $z} differ in what $_ holds:
+        # {} with $z = a, or {$z}.  Neither is an instance of the other.
+        box = parse_box("box X ((i) -> (q)): => $q :=: {a} \\/ $_; => $q :=: {a, $z};")
+        ev = evaluate_box(box)
+        z = box.clauses[1].assertions[0].rhs.elements[1]
+        assert [(br.store.lookup_name("q"), br.store.lookup_name("z")) for br in ev.branches] == [
+            (term("{a}"), Sym("a")), (SetTerm([Sym("a"), z]), None)]
+
+    def test_branches_saying_the_same_are_merged(self):
+        # Binding $s forks the first clause's branches into 8, which say
+        # only 4 different things about $s and $t.
+        box = parse_box("box X ((i) -> (q)): => {a} \\/ $s :=: {a, b} \\/ $t; => $s :=: {a, b};")
+        ev = evaluate_box(box)
+        assert len(ev.branches) == 4
+        assert all(br.store.lookup_name("s") == term("{a, b}") for br in ev.branches)
+        assert {br.store.lookup_name("t") for br in ev.branches} == {
+            term("{}"), term("{a}"), term("{b}"), term("{a, b}")}
+
 
 class TestFreshVariableAccounting:
     def test_three_anon_occurrences_three_fresh_vars(self):

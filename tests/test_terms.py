@@ -228,6 +228,12 @@ class TestSetTermEquality:
         assert SetTerm([b, a, b], [w, v, w]).elements == (b, a)
         assert SetTerm([b, a, b], [w, v, w]).union_vars == (w, v)
 
+    def test_variable_identity_is_its_vid(self):
+        v1, v2 = Var(("t", 1), "v", LOCAL), Var(("t", 1), "w", ANONYMOUS)
+        assert v1 == v2 and hash(v1) == hash(v2) == hash(("t", 1))
+        assert {v1: 1}[v2] == 1
+        assert v1 != Var(("t", 2), "v", LOCAL)
+
     def test_ground_flag(self):
         a = Sym("a")
         x = Var(("t", 1), "x", LOCAL)
@@ -259,6 +265,14 @@ class TestTraversal:
     def test_map_vars_replaces_element_variables(self):
         t = Tup((self.x, SetTerm([self.x, self.a])))
         assert map_vars(t, lambda u: self.b) == Tup((self.b, SetTerm([self.b, self.a])))
+
+    def test_map_vars_returns_unchanged_term_itself(self):
+        for t in (Tup((self.a, Tup((self.x, self.b)))),
+                  SetTerm([self.a, Tup((self.y,))], [self.v, self.w])):
+            assert map_vars(t, lambda u: u) is t
+        # An individual cannot join a union, so the set stays as it is.
+        t = SetTerm([self.a], [self.v])
+        assert map_vars(t, lambda u: self.b) is t
 
 
 GROUND_TERMS = st.recursive(

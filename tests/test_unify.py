@@ -448,3 +448,31 @@ class TestMaximalGenerality:
 ])
 def test_oracle_agreement(t1, t2):
     assert_sound_and_complete(t1, t2)
+
+
+def small_pairs():
+    """Every pair of set terms over {a, b, $x, $y} with at most three
+    members in all, $v on the left and $w or $v on the right.  A pair in
+    which both element variables occur has at most two members: each
+    element variable multiplies the ground enumeration by four."""
+    sides = [elems for k in range(3) for elems in itertools.combinations([a, b, x, y], k)]
+    for e1, e2 in itertools.product(sides, repeat=2):
+        if len(e1) + len(e2) <= (2 if {x, y} <= {*e1, *e2} else 3):
+            for right in (w, v):
+                yield SetTerm(e1, [v]), SetTerm(e2, [right])
+
+
+def test_small_pairs_sound_complete_minimal_and_order_independent():
+    pairs = list(small_pairs())
+    assert len(pairs) == 138
+    for t1, t2 in pairs:
+        text = f"{term_text(t1)} ~ {term_text(t2)}"
+        sols = assert_sound_and_complete(t1, t2)
+        rvars = _relevant_vars([t1, t2], BindingStore())
+        vecs = [[resolve(r, s) for r in rvars] for s in sols]
+        for i, j in itertools.permutations(range(len(vecs)), 2):
+            assert not is_instance_of(vecs[j], vecs[i]), f"solution {j} is an instance of {i}: {text}"
+        rev = unify_sets(t2, t1, BindingStore())
+        assert len(rev) == len(sols), text
+        assert ({solution_snapshot(s, rvars) for s in rev}
+                == {solution_snapshot(s, rvars) for s in sols}), text
