@@ -18,10 +18,9 @@ from .arith import (
 )
 from .clauses import (
     BoxDeclaration,
-    BoxEvaluation,
     Clause,
-    Equivalence,
-    Relation,
+    Evaluation,
+    Predicate,
     SemanticError,
     evaluate_box,
     evaluate_condition,
@@ -46,22 +45,21 @@ from .terms import (
     fresh_variable,
     term_text,
 )
-from .unify import BindingStore, resolve, unify, unify_sets
+from .unify import BindingStore, resolve, unify_sets
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BindingStore",
     "BoxDeclaration",
-    "BoxEvaluation",
     "CalSyntaxError",
     "Clause",
     "DEFAULT_CONSTANTS",
-    "Equivalence",
+    "Evaluation",
     "Num",
     "NumericValue",
+    "Predicate",
     "PredicateFailure",
-    "Relation",
     "SemanticError",
     "SetTerm",
     "Sym",
@@ -90,6 +88,5 @@ __all__ = [
     "resolve",
     "term_text",
     "tokenize",
-    "unify",
     "unify_sets",
 ]

@@ -36,9 +36,8 @@ from .clauses import (
     BoxDeclaration,
     Clause,
     Diagnostic,
-    Equivalence,
+    Evaluation,
     Predicate,
-    Relation,
     evaluate_box,
     flatten_provided,
     input_store,
@@ -130,8 +129,7 @@ def clone_declaration(decl: BoxDeclaration, supply: VarSupply) -> BoxDeclaration
         return mapping[v]
 
     def rn_pred(p: Predicate) -> Predicate:
-        lhs, rhs = map_vars(p.lhs, rn_var), map_vars(p.rhs, rn_var)
-        return Relation(lhs, p.op, rhs) if isinstance(p, Relation) else Equivalence(lhs, rhs)
+        return Predicate(map_vars(p.lhs, rn_var), p.op, map_vars(p.rhs, rn_var))
 
     clauses = tuple(
         Clause(tuple(rn_pred(p) for p in c.conditions),
@@ -217,14 +215,7 @@ class NetBranch:
     fired: dict[str, tuple[int, ...]]  # instance name -> fired clause indices
 
 
-@dataclass
-class NetEvaluation:
-    network: Network
-    branches: list[NetBranch]
-    diagnostics: list[Diagnostic]
-
-
-def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) -> NetEvaluation:
+def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) -> Evaluation:
     """Evaluate the network's boxes in topological order, flowing object
     variable associations across every serial edge by unification."""
     order = net.instances()
@@ -282,7 +273,7 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) ->
                     nxt.append(NetBranch(sub.store, fired))
         branches = merge_branches(nxt)
 
-    return NetEvaluation(net, branches, diagnostics)
+    return Evaluation(branches, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +476,7 @@ def check_declaration(decl: BoxDeclaration) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     channels = len(decl.outputs)
     for name, var in decl.env_vars.items():
-        if len(name) > 1 and name[0] in "TM" and name[1:].isdigit():
+        if len(name) > 1 and name[0] in "TM" and name[1:].isdecimal():
             if int(name[1:]) >= channels:
                 out.append(Diagnostic(
                     "warning",
@@ -517,13 +508,21 @@ def _strip_comment(line: str) -> str:
 
 def _network_expr(e: syntax.NetSurface, library: dict[str, BoxDeclaration],
                   supply: VarSupply, counts: dict[str, int]) -> NetExpr:
-    """Instantiate the boxes of a parsed network expression, left to right."""
+    """Instantiate the boxes of a parsed network expression, left to right.
+
+    The k-th occurrence of box NAME is the instance ``NAME_k``, with k
+    skipping the names of library boxes.  Two such names never coincide,
+    as k holds no ``_``, so every instance name is unique.
+    """
     if isinstance(e, syntax.NetBox):
         decl = library.get(e.name)
         if decl is None:
             raise NetworkError(f"{e.pos}: unknown box {e.name!r} (missing 'use' line?)")
-        counts[e.name] = counts.get(e.name, 0) + 1
-        name = e.name if counts[e.name] == 1 else f"{e.name}_{counts[e.name]}"
+        k = counts.get(e.name, 0) + 1
+        while k > 1 and f"{e.name}_{k}" in library:
+            k += 1
+        counts[e.name] = k
+        name = e.name if k == 1 else f"{e.name}_{k}"
         return BoxRef(Instance(name, clone_declaration(decl, supply)))
     if isinstance(e, syntax.NetSerial):
         return Serial([_network_expr(s, library, supply, counts) for s in e.stages],
@@ -537,12 +536,11 @@ class NetworkFile:
     library: dict[str, BoxDeclaration]
 
 
-def parse_network_file(text: str, base_dir: Optional[Path] = None,
-                       supply: Optional[VarSupply] = None) -> NetworkFile:
+def parse_network_file(text: str, base_dir: Optional[Path] = None) -> NetworkFile:
     """Line-oriented network description: ``use <file.cal>`` loads box
     declarations, ``net <name> = <boxexpr>`` defines a network."""
     base = base_dir or Path(".")
-    supply = supply or VarSupply("i")
+    supply = VarSupply("i")
     library: dict[str, BoxDeclaration] = {}
     networks: list[Network] = []
     for ln, raw in enumerate(text.split("\n"), start=1):
@@ -553,7 +551,7 @@ def parse_network_file(text: str, base_dir: Optional[Path] = None,
             path = base / line[4:].strip()
             try:
                 source = path.read_text()
-            except OSError as e:
+            except (OSError, UnicodeDecodeError) as e:
                 raise NetworkError(f"line {ln}: cannot read {path}: {e}")
             for decl in syntax.parse_program(source):
                 flattened = flatten_provided(decl, VarSupply())
@@ -577,6 +575,12 @@ class EnvSpec:
     env: dict[tuple[str, str], Term] = field(default_factory=dict)
 
 
+# The token kinds of an environment file's targets: "$$NAME", "BOX.$NAME"
+# and "BOX.$$NAME".
+_ENV_TARGETS = ([syntax.ENV_VARIABLE], [syntax.IDENT, syntax.PUNCT, syntax.VARIABLE],
+                [syntax.IDENT, syntax.PUNCT, syntax.ENV_VARIABLE])
+
+
 def parse_env_file(text: str) -> EnvSpec:
     spec = EnvSpec()
     scope = VarScope()
@@ -587,23 +591,23 @@ def parse_env_file(text: str) -> EnvSpec:
         if "=" not in line:
             raise NetworkError(f"env line {ln}: expected '<target> = <term>'")
         lhs, _, rhs = raw.partition("=")
+        try:
+            target = syntax.tokenize(lhs, operators={".": syntax.PUNCT})[:-1]
+        except syntax.CalSyntaxError:
+            target = []
+        kinds = [t.kind for t in target]
+        if kinds not in _ENV_TARGETS:
+            raise NetworkError(f"env line {ln}: expected a '$$NAME', 'BOX.$NAME' or "
+                               f"'BOX.$$NAME' target, found {lhs.strip()!r}")
         tokens = syntax.tokenize(rhs, syntax.Pos(ln, len(lhs) + 2))
         term = desugar(syntax.parse_term(tokens), scope)
-        lhs = lhs.strip()
-        if lhs.startswith("$$"):
-            spec.globals[lhs[2:]] = term
-        elif "." in lhs:
-            box, ref = lhs.split(".", 1)
-            box = box.strip()
-            ref = ref.strip()
-            if ref.startswith("$$"):
-                spec.env[(box, ref[2:])] = term
-            elif ref.startswith("$"):
-                spec.fields[(box, ref[1:])] = term
-            else:
-                raise NetworkError(f"env line {ln}: expected '{box}.$field' or '{box}.$$var'")
+        name = target[-1].value[0]
+        if len(target) == 1:
+            spec.globals[name] = term
+        elif kinds[-1] == syntax.ENV_VARIABLE:
+            spec.env[(target[0].text, name)] = term
         else:
-            raise NetworkError(f"env line {ln}: expected '$$name' or 'BOX.$field' target")
+            spec.fields[(target[0].text, name)] = term
     return spec
 
 
@@ -628,10 +632,9 @@ def instance_input_store(decl: BoxDeclaration, labels: tuple[str, ...], env: Env
     return input_store(decl, fields, {**env.globals, **specific}, base)
 
 
-def network_input_store(net: Network, env: EnvSpec,
-                        base: Optional[BindingStore] = None) -> BindingStore:
+def network_input_store(net: Network, env: EnvSpec) -> BindingStore:
     """Bind the environment file's associations for every instance."""
-    store = base if base is not None else BindingStore()
+    store = BindingStore()
     for inst in net.instances():
         store = instance_input_store(inst.decl, (inst.name, inst.decl.name), env, store)
     return store

@@ -15,6 +15,7 @@ carried as a term.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -219,6 +220,10 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None
     return PredicateFailure(UNKNOWN_FUNCTION, repr(t))
 
 
+_COMPARISONS = {"=": operator.eq, "!=": operator.ne, ">": operator.gt, "<": operator.lt,
+                ">=": operator.ge, "<=": operator.le}
+
+
 def _compare(op: str, a: NumericValue, b: NumericValue) -> Union[bool, PredicateFailure]:
     if a is UNKNOWN or b is UNKNOWN:
         return PredicateFailure(UNKNOWN_COMPARISON, "comparison against unknown")
@@ -230,20 +235,10 @@ def _compare(op: str, a: NumericValue, b: NumericValue) -> Union[bool, Predicate
             return (1, Fraction(0))
         return (0, v)
 
-    ra, rb = rank(a), rank(b)
-    if op == "=":
-        return ra == rb
-    if op == "!=":
-        return ra != rb
-    if op == ">":
-        return ra > rb
-    if op == "<":
-        return ra < rb
-    if op == ">=":
-        return ra >= rb
-    if op == "<=":
-        return ra <= rb
-    raise ValueError(f"unknown relational operator {op!r}")
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+        raise ValueError(f"unknown relational operator {op!r}")
+    return compare(rank(a), rank(b))
 
 
 def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] = None,

@@ -9,8 +9,8 @@ is a flat clause list.
 Evaluation walks the clauses in declaration order against one
 accumulating store per branch: a later clause sees the associations the
 earlier ones made, which is how a local bound by clause 1 is visible to
-clause 2.  Equivalences with several maximally general unifiers fork the
-branch; every surviving branch is reported.
+clause 2.  An equivalence ``:=:`` with several maximally general unifiers
+forks the branch; every surviving branch is reported.
 
 Conditions are tests, not wishes: an input object variable that has no
 association cannot acquire one inside a condition.  A condition that
@@ -21,7 +21,7 @@ information asserts nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import syntax
 from .arith import PredicateFailure, eval_relation
@@ -31,25 +31,14 @@ from .unify import BindingStore, solution_snapshot, unify
 
 
 @dataclass(frozen=True)
-class Relation:
+class Predicate:
+    """A relation, or with ``op`` ``":=:"`` an equivalence."""
     lhs: Term
     op: str
     rhs: Term
 
     def __str__(self):
         return f"{term_text(self.lhs)} {self.op} {term_text(self.rhs)}"
-
-
-@dataclass(frozen=True)
-class Equivalence:
-    lhs: Term
-    rhs: Term
-
-    def __str__(self):
-        return f"{term_text(self.lhs)} :=: {term_text(self.rhs)}"
-
-
-Predicate = Union[Relation, Equivalence]
 
 
 @dataclass(frozen=True)
@@ -99,10 +88,8 @@ class BoxDeclaration:
         return v
 
 
-def _desugar_predicate(p, scope: VarScope) -> Predicate:
-    if isinstance(p, syntax.RelationP):
-        return Relation(desugar(p.lhs, scope), p.op, desugar(p.rhs, scope))
-    return Equivalence(desugar(p.lhs, scope), desugar(p.rhs, scope))
+def _desugar_predicate(p: syntax.SurfacePredicate, scope: VarScope) -> Predicate:
+    return Predicate(desugar(p.lhs, scope), p.op, desugar(p.rhs, scope))
 
 
 def flatten_provided(decl: Declaration, supply: Optional[VarSupply] = None) -> BoxDeclaration:
@@ -172,10 +159,10 @@ class Branch:
 
 
 @dataclass
-class BoxEvaluation:
-    decl: BoxDeclaration
-    inputs: BindingStore
-    branches: list[Branch]
+class Evaluation:
+    """The surviving branches of a box or network evaluation, each with a
+    ``store`` and the clauses it fired, and what was noted on the way."""
+    branches: list
     diagnostics: list[Diagnostic]
 
 
@@ -190,7 +177,7 @@ def _walk(preds: Iterable[Predicate], store: BindingStore,
     for p in preds:
         nxt: list[BindingStore] = []
         for s in stores:
-            if isinstance(p, Equivalence):
+            if p.op == ":=:":
                 got = unify(p.lhs, p.rhs, s, frozen)
                 if not got:
                     failed.append(("cannot hold", p))
@@ -265,7 +252,7 @@ def branch_snapshot(store: BindingStore) -> tuple:
     return tuple(zip((v.vid for v in rvars), snap))
 
 
-def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) -> BoxEvaluation:
+def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) -> Evaluation:
     """Evaluate every clause, in order, against the input associations.
 
     Clause effects accumulate per branch; a clause whose condition fails
@@ -302,7 +289,7 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
     if not branches:
         diagnostics.append(Diagnostic(
             "warning", f"box {decl.name}: no consistent evaluation branch", decl.pos))
-    return BoxEvaluation(decl, store, branches, diagnostics)
+    return Evaluation(branches, diagnostics)
 
 
 def merge_branches(branches: list) -> list:

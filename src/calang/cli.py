@@ -22,7 +22,8 @@ from .unify import BindingStore, resolve
 _SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
 
 # Errors in the input files; each ends in an error report, not a traceback.
-_INPUT_ERRORS = (syntax.CalSyntaxError, SemanticError, agg.NetworkError, OSError)
+_INPUT_ERRORS = (syntax.CalSyntaxError, SemanticError, agg.NetworkError, OSError,
+                 UnicodeDecodeError)
 
 
 class Report:

@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .clauses import BoxDeclaration, Clause, Predicate, Relation
+from .clauses import BoxDeclaration, Clause, Predicate
 from .terms import HAT, MINUS, PLUS, SLASH, TIMES, UNION, UNION_SYM, Num, SetTerm, Sym, Term, Tup, Var
 
-_REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne"}
+_REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne",
+              ":=:": "eq"}
 _OP_NAMES = {PLUS: "plus", MINUS: "minus", TIMES: "times", SLASH: "slash", HAT: "hat",
              UNION: "union"}
 
@@ -82,11 +83,7 @@ def _functor_term(t: Term, names: dict[Var, str], suffix: str) -> str:
 
 
 def _functor_pred(p: Predicate, names: dict[Var, str], suffix: str) -> str:
-    if isinstance(p, Relation):
-        name = _REL_NAMES[p.op]
-        return (f"{name}({_functor_term(p.lhs, names, suffix)}, "
-                f"{_functor_term(p.rhs, names, suffix)})")
-    return (f"eq({_functor_term(p.lhs, names, suffix)}, "
+    return (f"{_REL_NAMES[p.op]}({_functor_term(p.lhs, names, suffix)}, "
             f"{_functor_term(p.rhs, names, suffix)})")
 
 

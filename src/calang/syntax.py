@@ -257,19 +257,11 @@ SurfaceTerm = Union[NumberLit, Name, VarRef, Unary, Binary, TupleLit, HeadTuple,
 
 
 @dataclass(frozen=True)
-class RelationP:
+class SurfacePredicate:
+    """A relation, or with ``op`` ``":=:"`` an equivalence."""
     lhs: SurfaceTerm
     op: str
     rhs: SurfaceTerm
-
-
-@dataclass(frozen=True)
-class EquivalenceP:
-    lhs: SurfaceTerm
-    rhs: SurfaceTerm
-
-
-SurfacePredicate = Union[RelationP, EquivalenceP]
 
 
 @dataclass(frozen=True)
@@ -468,15 +460,13 @@ class _Parser:
     def predicate(self) -> SurfacePredicate:
         lhs_pos = self.tok.pos
         lhs = self.expression()
-        if self.accept(EQUIVOP):
-            return EquivalenceP(lhs, self.expression())
-        if self.at(RELOP):
-            op = self.next().text
-            if not isinstance(lhs, (VarRef, NumberLit)):
-                raise CalSyntaxError(
-                    "the left-hand side of a relation must be a variable or a number", lhs_pos)
-            return RelationP(lhs, op, self.expression())
-        self.fail("expected a relational operator or ':=:'")
+        if self.tok.kind not in (RELOP, EQUIVOP):
+            self.fail("expected a relational operator or ':=:'")
+        op = self.next().text
+        if op != ":=:" and not isinstance(lhs, (VarRef, NumberLit)):
+            raise CalSyntaxError(
+                "the left-hand side of a relation must be a variable or a number", lhs_pos)
+        return SurfacePredicate(lhs, op, self.expression())
 
     def expression(self, min_prec: int = 0) -> SurfaceTerm:
         """A term whose binary operators bind at ``min_prec`` or tighter;
@@ -701,9 +691,7 @@ def render_term(t: SurfaceTerm, prec: int = 0) -> str:
 
 
 def render_predicate(p: SurfacePredicate) -> str:
-    if isinstance(p, RelationP):
-        return f"{render_term(p.lhs)} {p.op} {render_term(p.rhs)}"
-    return f"{render_term(p.lhs)} :=: {render_term(p.rhs)}"
+    return f"{render_term(p.lhs)} {p.op} {render_term(p.rhs)}"
 
 
 def _render_decl(d: SurfaceDecl, indent: str) -> str:

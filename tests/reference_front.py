@@ -51,13 +51,11 @@ from calang.syntax import (
     Binary,
     CalSyntaxError,
     Declaration,
-    EquivalenceP,
     Header,
     HeadTuple,
     Name,
     NumberLit,
     ProvidedBlock,
-    RelationP,
     SetLit,
     SurfaceClause,
     SurfaceDecl,
@@ -361,13 +359,13 @@ class _Parser:
         lhs_pos = self.peek().pos
         lhs = self.expression()
         if self.accept(EQUIVOP):
-            return EquivalenceP(lhs, self.expression())
+            return SurfacePredicate(lhs, ":=:", self.expression())
         if self.at(RELOP):
             op = self.next().text
             if not isinstance(lhs, (VarRef, NumberLit)):
                 raise CalSyntaxError(
                     "the left-hand side of a relation must be a variable or a number", lhs_pos)
-            return RelationP(lhs, op, self.expression())
+            return SurfacePredicate(lhs, op, self.expression())
         self.fail("expected a relational operator or ':=:'")
 
     def expression(self) -> SurfaceTerm:

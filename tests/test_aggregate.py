@@ -329,3 +329,30 @@ class TestNetworkFiles:
     def test_env_file_bad_line(self):
         with pytest.raises(NetworkError):
             parse_env_file("what is this\n")
+
+    @pytest.mark.parametrize("target", ["$$", "$$a b", "$x", "A.b", "A.$_", "A.$$a.b",
+                                        "box.$x", "1A.$x"])
+    def test_env_file_target_must_read_back(self, target):
+        # Only $$NAME, BOX.$NAME and BOX.$$NAME, with CAL identifiers for
+        # BOX and NAME, name something that a report prints back.
+        with pytest.raises(NetworkError) as e:
+            parse_env_file(f"$$n = 1\n{target} = 3\n")
+        assert str(e.value) == (f"env line 2: expected a '$$NAME', 'BOX.$NAME' or "
+                                f"'BOX.$$NAME' target, found {target!r}")
+
+    def test_instance_names_skip_library_box_names(self, tmp_path):
+        # The second A would be A_2, the name of another box.
+        (tmp_path / "lib.cal").write_text(
+            "box A ((x) -> (y)): => $y :=: {value(1)}, $$T0 = 1;\n"
+            "box A_2 ((x) -> (y)): => $y :=: {value(2)}, $$T0 = 5;\n")
+        nf = parse_network_file("use lib.cal\nnet m = A_2 .. A .. A\n", base_dir=tmp_path)
+        (net,) = nf.networks
+        insts = net.instances()
+        assert [(i.name, i.decl.name) for i in insts] == [("A_2", "A_2"), ("A", "A"),
+                                                          ("A_3", "A")]
+        ev = aggregate_functional(net, network_input_store(net, EnvSpec()))
+        assert ev.diagnostics == []
+        (br,) = ev.branches
+        assert br.fired == {"A_2": (0,), "A": (0,), "A_3": (0,)}
+        assert term_text(resolve(insts[0].decl.env_vars["T0"], br.store)) == "5"
+        assert term_text(resolve(insts[2].decl.object_vars["x"], br.store)) == "{value(1)}"

@@ -7,8 +7,8 @@ import pytest
 
 from calang import syntax
 from calang.clauses import (
-    BoxEvaluation,
     Clause,
+    Predicate,
     SemanticError,
     branch_snapshot,
     evaluate_box,
@@ -100,12 +100,10 @@ class TestEvaluateCondition:
     def test_pattern_extraction_absorbs_extras(self):
         # the provided condition against a bound subject: the trailing
         # "\/ $_" soaks up packed(row_major)
-        from calang.clauses import Equivalence
-
         scope = VarScope(object_fields=["a"])
         var_a = scope.lookup("a", 1)
         pattern = term("{Type(array, element($t), rank(2), shape($n,($m,nil)))} \\/ $_", scope)
-        pred = [Equivalence(var_a, pattern)]
+        pred = [Predicate(var_a, ":=:", pattern)]
         s = BindingStore().bind(var_a, term(REAL_7X7))
         stores = evaluate_condition(pred, s)
         assert stores
@@ -121,9 +119,7 @@ class TestEvaluateCondition:
     def test_failed_guard_empty(self):
         scope = VarScope()
         pred = syntax.parse_predicate("$kv > $$nthreads * 100")
-        from calang.clauses import Relation
-
-        rel = Relation(desugar(pred.lhs, scope), pred.op, desugar(pred.rhs, scope))
+        rel = Predicate(desugar(pred.lhs, scope), pred.op, desugar(pred.rhs, scope))
         s = (BindingStore()
              .bind(scope.known("kv"), Num(Fraction(100)))
              .bind(scope.known("nthreads", 2), Num(Fraction(4))))

@@ -341,6 +341,47 @@ class TestLongNetworks:
         assert "$$T0 = unknown + (comm_cost + unknown)" in out
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is an input error, in every command."""
+
+    BOX = "box b ((x) -> (y)): => $y = 1;\n"
+
+    @pytest.mark.parametrize("command", ["check", "eval", "horn"])
+    def test_cal_file(self, capsys, tmp_path, command):
+        f = tmp_path / "bad.cal"
+        f.write_bytes(self.BOX.encode() + b"\xff\n")
+        code = main([command, str(f)] + (["b"] if command == "eval" else []))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error: 'utf-8' codec can't decode byte 0xff" in captured.out + captured.err
+
+    def test_eval_env_file(self, capsys, tmp_path):
+        (tmp_path / "b.cal").write_text(self.BOX)
+        (tmp_path / "bad.env").write_bytes(b"$$n = 1\xff\n")
+        code, out = run(capsys, "eval", str(tmp_path / "b.cal"), "b",
+                        "--env", str(tmp_path / "bad.env"))
+        assert code == 1
+        assert "error: 'utf-8' codec can't decode byte 0xff" in out
+
+    def test_aggregate_use_line(self, capsys, tmp_path):
+        (tmp_path / "bad.cal").write_bytes(self.BOX.encode() + b"\xff\n")
+        (tmp_path / "m.net").write_text("-- a network\nuse bad.cal\nnet m = b\n")
+        code, out = run(capsys, "aggregate", "--net", str(tmp_path / "m.net"))
+        assert code == 1
+        assert (f"error: line 2: cannot read {tmp_path / 'bad.cal'}: "
+                f"'utf-8' codec can't decode byte 0xff") in out
+
+
+def test_non_decimal_digit_in_channel_name_is_no_channel(capsys, tmp_path):
+    # "T²" is a name, not channel 2: it is neither read as an index nor
+    # warned about.
+    f = tmp_path / "digit.cal"
+    f.write_text("box b (() -> (b)): => $$T² :=: 1;\n")
+    code, out = run(capsys, "check", str(f))
+    assert code == 0
+    assert "status: ok" in out
+
+
 def test_non_decimal_digit_is_reported(capsys, tmp_path):
     f = tmp_path / "digit.cal"
     f.write_text("box b (() -> (b)): => $b = 1 + ²;\n")
