@@ -294,20 +294,29 @@ class LatencyModel:
         return max(keys) + 1 if keys else 0
 
 
+def cost_channel(name: str) -> Optional[tuple[str, Optional[int]]]:
+    """``(kind, n)`` when ``$$name`` is ``$$Tn``, the latency, or ``$$Mn``, the
+    message count, of output channel n.  n is None when its decimal digits
+    are not canonical, as in ``T01``; any other name, ``T²`` too, gives None."""
+    kind, digits = name[:1], name[1:]
+    if kind in ("T", "M") and digits.isdecimal():
+        return kind, int(digits) if str(int(digits)) == digits else None
+    return None
+
+
 def box_latency_model(inst: Instance, store: BindingStore) -> LatencyModel:
     """Extract the $$Tn / $$Mn associations of one box instance.
 
     An unasserted latency defaults to ``unknown`` and an unasserted
     message count to ``unbounded``.
     """
-    model = LatencyModel()
-    for n in range(len(inst.decl.outputs)):
-        t_var = inst.decl.env_vars.get(f"T{n}")
-        m_var = inst.decl.env_vars.get(f"M{n}")
-        t_bound = t_var is not None and store.binding(t_var) is not None
-        m_bound = m_var is not None and store.binding(m_var) is not None
-        model.latency[n] = resolve(t_var, store) if t_bound else UNKNOWN_SYM
-        model.messages[n] = resolve(m_var, store) if m_bound else UNBOUNDED_SYM
+    channels = range(len(inst.decl.outputs))
+    model = LatencyModel(dict.fromkeys(channels, UNKNOWN_SYM),
+                         dict.fromkeys(channels, UNBOUNDED_SYM))
+    for name, var in inst.decl.env_vars.items():
+        kind, n = cost_channel(name) or ("", None)
+        if n in model.latency and store.binding(var) is not None:
+            (model.latency if kind == "T" else model.messages)[n] = resolve(var, store)
     return model
 
 
@@ -472,16 +481,17 @@ def check_vocabulary(t: Term) -> list[str]:
 
 def check_declaration(decl: BoxDeclaration) -> list[Diagnostic]:
     """Vocabulary diagnostics for every term of a flattened declaration,
-    plus latency/message channel indexes out of range for the signature."""
+    plus latency/message channel names that are not canonical or exceed
+    the signature's channels."""
     out: list[Diagnostic] = []
     channels = len(decl.outputs)
-    for name, var in decl.env_vars.items():
-        if len(name) > 1 and name[0] in "TM" and name[1:].isdecimal():
-            if int(name[1:]) >= channels:
-                out.append(Diagnostic(
-                    "warning",
-                    f"{decl.name}: $${name} exceeds the {channels} output "
-                    f"channel(s) of the signature", decl.pos))
+    for name in decl.env_vars:
+        _, n = cost_channel(name) or ("", -1)
+        if n is None or n >= channels:
+            why = ("names no output channel: channel numbers are plain decimal, without "
+                   "leading zeros" if n is None else
+                   f"exceeds the {channels} output channel(s) of the signature")
+            out.append(Diagnostic("warning", f"{decl.name}: $${name} {why}", decl.pos))
     for ci, clause in enumerate(decl.clauses):
         for pred in clause.conditions + clause.assertions:
             terms = (pred.lhs, pred.rhs)
@@ -500,6 +510,21 @@ def check_declaration(decl: BoxDeclaration) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Network and environment files
 # ---------------------------------------------------------------------------
+
+def read_input(path: Union[str, Path]) -> str:
+    """The text of an input file; one that cannot be read or is not UTF-8
+    is a :class:`NetworkError` naming it."""
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise NetworkError(f"cannot read {path}: {e}") from None
+
+
+def load_boxes(*paths: Union[str, Path]) -> list[BoxDeclaration]:
+    """The flattened box declarations of ``.cal`` files, in file order."""
+    return [flatten_provided(d) for path in paths
+            for d in syntax.parse_program(read_input(path))]
+
 
 def _strip_comment(line: str) -> str:
     idx = line.find("--")
@@ -536,10 +561,9 @@ class NetworkFile:
     library: dict[str, BoxDeclaration]
 
 
-def parse_network_file(text: str, base_dir: Optional[Path] = None) -> NetworkFile:
+def parse_network_file(text: str, base_dir: Path = Path(".")) -> NetworkFile:
     """Line-oriented network description: ``use <file.cal>`` loads box
     declarations, ``net <name> = <boxexpr>`` defines a network."""
-    base = base_dir or Path(".")
     supply = VarSupply("i")
     library: dict[str, BoxDeclaration] = {}
     networks: list[Network] = []
@@ -548,14 +572,11 @@ def parse_network_file(text: str, base_dir: Optional[Path] = None) -> NetworkFil
         if not line:
             continue
         if line.startswith("use "):
-            path = base / line[4:].strip()
             try:
-                source = path.read_text()
-            except (OSError, UnicodeDecodeError) as e:
-                raise NetworkError(f"line {ln}: cannot read {path}: {e}")
-            for decl in syntax.parse_program(source):
-                flattened = flatten_provided(decl, VarSupply())
-                library[flattened.name] = flattened
+                decls = load_boxes(base_dir / line[4:].strip())
+            except NetworkError as e:
+                raise NetworkError(f"line {ln}: {e}") from None
+            library.update((d.name, d) for d in decls)
             continue
         if line.startswith("net "):
             name, expr = syntax.parse_network(raw, syntax.Pos(ln, 1))
@@ -583,7 +604,8 @@ _ENV_TARGETS = ([syntax.ENV_VARIABLE], [syntax.IDENT, syntax.PUNCT, syntax.VARIA
 
 def parse_env_file(text: str) -> EnvSpec:
     spec = EnvSpec()
-    scope = VarScope()
+    # A supply of its own keeps these variables apart from every box's.
+    scope = VarScope(VarSupply("e"))
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:

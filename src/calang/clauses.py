@@ -92,7 +92,7 @@ def _desugar_predicate(p: syntax.SurfacePredicate, scope: VarScope) -> Predicate
     return Predicate(desugar(p.lhs, scope), p.op, desugar(p.rhs, scope))
 
 
-def flatten_provided(decl: Declaration, supply: Optional[VarSupply] = None) -> BoxDeclaration:
+def flatten_provided(decl: Declaration) -> BoxDeclaration:
     """Flatten provided blocks and resolve variable categories.
 
     Outer provided conditions come first on each clause; nested blocks
@@ -111,7 +111,7 @@ def flatten_provided(decl: Declaration, supply: Optional[VarSupply] = None) -> B
             if f not in fields:
                 fields.append(f)
 
-    scope = VarScope(supply or VarSupply(), object_fields=fields)
+    scope = VarScope(object_fields=fields)
     clauses: list[Clause] = []
 
     def walk(decls, pending):
@@ -132,9 +132,9 @@ def flatten_provided(decl: Declaration, supply: Optional[VarSupply] = None) -> B
                           tuple(clauses), object_vars, env_vars, header.pos, scope.supply)
 
 
-def parse_box(source: str, supply: Optional[VarSupply] = None) -> BoxDeclaration:
+def parse_box(source: str) -> BoxDeclaration:
     """Parse and flatten a single box declaration from text."""
-    return flatten_provided(syntax.parse_declaration(source), supply)
+    return flatten_provided(syntax.parse_declaration(source))
 
 
 # ---------------------------------------------------------------------------

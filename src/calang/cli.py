@@ -1,8 +1,8 @@
 """Command-line front door: check, evaluate, export and aggregate.
 
 Exit codes: 0 for success (also with warnings, unless ``--strict`` makes
-warnings exit 2), 1 for errors.  Output is deterministic: identical
-inputs produce byte-identical reports.
+warnings exit 2), 1 for errors, an unwritable ``--out`` among them.
+Output is deterministic: identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ from typing import Optional
 
 from . import aggregate as agg
 from . import horn, syntax
-from .clauses import BoxDeclaration, Diagnostic, SemanticError, evaluate_box, flatten_provided
-from .terms import VarSupply, term_text
+from .clauses import BoxDeclaration, Diagnostic, SemanticError, evaluate_box
+from .terms import term_text
 from .unify import BindingStore, resolve
 
 _SEVERITY_RANK = {"note": 0, "warning": 1, "error": 2}
 
 # Errors in the input files; each ends in an error report, not a traceback.
-_INPUT_ERRORS = (syntax.CalSyntaxError, SemanticError, agg.NetworkError, OSError,
-                 UnicodeDecodeError)
+_INPUT_ERRORS = (syntax.CalSyntaxError, SemanticError, agg.NetworkError)
 
 
 class Report:
@@ -76,26 +75,27 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _write(text: str, args) -> int:
+    """Write the output to ``--out`` or stdout; 1 when the file cannot be
+    written, else 0."""
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(args.out).write_text(text)
+        return 0
+    except OSError as e:
+        sys.stderr.write(f"error: cannot write {args.out}: {e}\n")
+        return 1
+
+
 def _emit(report: Report, args) -> int:
     text = report.to_json() if args.format == "json" else report.to_text()
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    if report.status == "errors":
+    if _write(text, args) or report.status == "errors":
         return 1
     if report.status == "warnings" and args.strict:
         return 2
     return 0
-
-
-def _load_boxes(paths: list[str]) -> list[BoxDeclaration]:
-    decls = []
-    for path in paths:
-        source = Path(path).read_text()
-        for d in syntax.parse_program(source):
-            decls.append(flatten_provided(d, VarSupply()))
-    return decls
 
 
 def _store_table(decl: BoxDeclaration, store: BindingStore, fired=None) -> dict[str, str]:
@@ -121,12 +121,7 @@ def _store_table(decl: BoxDeclaration, store: BindingStore, fired=None) -> dict[
 
 def cmd_check(args) -> int:
     report = Report()
-    try:
-        decls = _load_boxes(args.files)
-    except _INPUT_ERRORS as e:
-        report.extend_diagnostics([Diagnostic("error", str(e))])
-        return _emit(report, args)
-    for decl in decls:
+    for decl in agg.load_boxes(*args.files):
         report.extend_diagnostics(agg.check_declaration(decl))
         report.add_section(f"box {decl.name}", [{
             "inputs": "(" + ",".join(decl.inputs) + ")",
@@ -137,22 +132,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    report = Report()
-    try:
-        decls = _load_boxes([args.calfile])
-        by_name = {d.name: d for d in decls}
-        decl = by_name.get(args.box)
-        if decl is None:
-            raise agg.NetworkError(
-                f"no box named {args.box!r} in {args.calfile} "
-                f"(found: {', '.join(sorted(by_name)) or 'none'})")
-        env = agg.parse_env_file(Path(args.env).read_text()) if args.env else agg.EnvSpec()
-        store = agg.instance_input_store(decl, (decl.name,), env)
-    except _INPUT_ERRORS as e:
-        report.extend_diagnostics([Diagnostic("error", str(e))])
-        return _emit(report, args)
+    by_name = {d.name: d for d in agg.load_boxes(args.calfile)}
+    decl = by_name.get(args.box)
+    if decl is None:
+        raise agg.NetworkError(
+            f"no box named {args.box!r} in {args.calfile} "
+            f"(found: {', '.join(sorted(by_name)) or 'none'})")
+    env = agg.parse_env_file(agg.read_input(args.env)) if args.env else agg.EnvSpec()
+    store = agg.instance_input_store(decl, (decl.name,), env)
 
     ev = evaluate_box(decl, store)
+    report = Report()
     report.extend_diagnostics(ev.diagnostics)
     tables = [_store_table(decl, br.store, br.fired) for br in ev.branches]
     report.add_section(f"box {decl.name}", tables)
@@ -160,29 +150,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_horn(args) -> int:
-    try:
-        decls = _load_boxes(args.files)
-    except _INPUT_ERRORS as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    text = horn.export_horn(decls)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(horn.export_horn(agg.load_boxes(*args.files)), args)
 
 
 def cmd_aggregate(args) -> int:
+    netfile = agg.parse_network_file(agg.read_input(args.net), base_dir=Path(args.net).parent)
+    env = agg.parse_env_file(agg.read_input(args.env)) if args.env else agg.EnvSpec()
     report = Report()
-    try:
-        netfile = agg.parse_network_file(Path(args.net).read_text(),
-                                         base_dir=Path(args.net).parent)
-        env = agg.parse_env_file(Path(args.env).read_text()) if args.env else agg.EnvSpec()
-    except _INPUT_ERRORS as e:
-        report.extend_diagnostics([Diagnostic("error", str(e))])
-        return _emit(report, args)
-
     for net in netfile.networks:
         try:
             store = agg.network_input_store(net, env)
@@ -243,7 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _INPUT_ERRORS as e:
+        if args.command == "horn":
+            sys.stderr.write(f"error: {e}\n")
+            return 1
+        report = Report()
+        report.extend_diagnostics([Diagnostic("error", str(e))])
+        return _emit(report, args)
 
 
 if __name__ == "__main__":

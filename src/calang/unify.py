@@ -562,20 +562,14 @@ def is_instance_of(specific: list[Term], general: list[Term]) -> bool:
 def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
     """Drop duplicate solutions (same observable content) and solutions
     strictly subsumed by a more general one.  Order is preserved."""
-    seen: set[tuple] = set()
-    kept: list[BindingStore] = []
-    values: list[list[Term]] = []
+    firsts: dict[tuple, BindingStore] = {}
     for s in stores:
-        snap = solution_snapshot(s, rvars)
-        if snap in seen:
-            continue
-        seen.add(snap)
-        kept.append(s)
-        values.append([resolve(v, s) for v in rvars])
-
+        firsts.setdefault(solution_snapshot(s, rvars), s)
+    kept = list(firsts.values())
     if len(kept) <= 1:
         return kept
 
+    values = list(firsts)
     has_free = [not all(v.ground for v in vals) for vals in values]
     drop: set[int] = set()
     for i in range(len(kept)):

@@ -353,7 +353,8 @@ class TestUndecodableInput:
         code = main([command, str(f)] + (["b"] if command == "eval" else []))
         captured = capsys.readouterr()
         assert code == 1
-        assert "error: 'utf-8' codec can't decode byte 0xff" in captured.out + captured.err
+        assert (f"error: cannot read {f}: 'utf-8' codec can't decode byte 0xff"
+                in captured.out + captured.err)
 
     def test_eval_env_file(self, capsys, tmp_path):
         (tmp_path / "b.cal").write_text(self.BOX)
@@ -361,7 +362,8 @@ class TestUndecodableInput:
         code, out = run(capsys, "eval", str(tmp_path / "b.cal"), "b",
                         "--env", str(tmp_path / "bad.env"))
         assert code == 1
-        assert "error: 'utf-8' codec can't decode byte 0xff" in out
+        assert (f"error: cannot read {tmp_path / 'bad.env'}: "
+                f"'utf-8' codec can't decode byte 0xff") in out
 
     def test_aggregate_use_line(self, capsys, tmp_path):
         (tmp_path / "bad.cal").write_bytes(self.BOX.encode() + b"\xff\n")
@@ -370,6 +372,74 @@ class TestUndecodableInput:
         assert code == 1
         assert (f"error: line 2: cannot read {tmp_path / 'bad.cal'}: "
                 f"'utf-8' codec can't decode byte 0xff") in out
+
+
+class TestInputFiles:
+    """Every file a command reads ends in an error naming it, with exit
+    code 1, when it is missing or not UTF-8; so does an ``--out`` file
+    that cannot be written."""
+
+    BOX = "box b ((x) -> (y)): => $y = 1;\n"
+    FILES = {"b.cal": BOX, "b.env": "$$n = 1\n", "m.net": "use b.cal\nnet m = b\n"}
+
+    # A command line and the file in it that is broken.
+    CASES = {
+        "check-cal": (["check", "b.cal"], "b.cal"),
+        "eval-cal": (["eval", "b.cal", "b"], "b.cal"),
+        "eval-env": (["eval", "b.cal", "b", "--env", "b.env"], "b.env"),
+        "horn-cal": (["horn", "b.cal"], "b.cal"),
+        "aggregate-env": (["aggregate", "--net", "m.net", "--env", "b.env"], "b.env"),
+        "aggregate-net": (["aggregate", "--net", "m.net"], "m.net"),
+        "aggregate-use": (["aggregate", "--net", "m.net"], "b.cal"),
+    }
+
+    @pytest.mark.parametrize("fault", ["missing", "undecodable"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_unreadable_input(self, capsys, tmp_path, case, fault):
+        argv, broken = self.CASES[case]
+        for name, text in self.FILES.items():
+            (tmp_path / name).write_text(text)
+        if fault == "missing":
+            (tmp_path / broken).unlink()
+        else:
+            (tmp_path / broken).write_bytes(self.FILES[broken].encode() + b"\xff\n")
+        argv = [str(tmp_path / a) if a in self.FILES else a for a in argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"cannot read {tmp_path / broken}: " in captured.out + captured.err
+
+    @pytest.mark.parametrize("command", ["check", "horn"])
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        (tmp_path / "b.cal").write_text(self.BOX)
+        out = tmp_path / "nonexistent" / "dir" / "f"
+        code = main(["--out", str(out), command, str(tmp_path / "b.cal")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+
+
+def test_env_variables_are_apart_from_box_variables(capsys, tmp_path):
+    # The env file's $w is not the box's first variable $x.
+    (tmp_path / "b.cal").write_text("box B ((x) -> (y)): $x :=: {a} \\/ $r => $y :=: $r;\n")
+    (tmp_path / "b.env").write_text("B.$x = {a, b} \\/ $w\n")
+    code, out = run(capsys, "eval", str(tmp_path / "b.cal"), "B",
+                    "--env", str(tmp_path / "b.env"))
+    assert code == 0
+    assert "status: ok" in out
+    assert "branch 3 of 3:" in out
+
+
+def test_channel_digits_must_be_canonical(capsys, tmp_path):
+    # "T01" is not channel 1, which aggregation reads as "T1": check says so.
+    f = tmp_path / "t01.cal"
+    f.write_text("box b ((x) -> (y), (z)): => $$T01 = 5, $$T0 = 1;\n")
+    code, out = run(capsys, "check", str(f))
+    assert code == 0
+    assert "status: warnings" in out
+    assert "warning (line 1, column 1): b: $$T01 names no output channel" in out
+    assert out.count("warning (") == 1
 
 
 def test_non_decimal_digit_in_channel_name_is_no_channel(capsys, tmp_path):

@@ -254,7 +254,7 @@ def test_networks_agree_with_reference(text):
                        lambda store: aggregate_extrafunctional(net.expr, store))
     library = {}
     for decl in syntax.parse_program((FIXTURES / "relays.cal").read_text()):
-        flattened = flatten_provided(decl, VarSupply())
+        flattened = flatten_provided(decl)
         library[flattened.name] = flattened
     expr = ref._NetExprParser(text, library, VarSupply("i"), {}).parse()
     want = _net_summary(ref.instances(expr), ref.connections(expr),

@@ -16,7 +16,8 @@ hash per corpus:
   union variables ``$v`` and ``$w``;
 * ``reports``: the exit code, standard output and standard error of every
   ``check``, ``eval``, ``horn`` and ``aggregate`` report, in text and in
-  JSON, on ``tests/fixtures`` and on the inputs that the benchmark's
+  JSON, on ``tests/fixtures`` (``check`` and ``horn`` also on all its
+  ``.cal`` files at once) and on the inputs that the benchmark's
   ``mybox-eval``, ``spec-front`` and ``net-aggregate`` generators write
   for seeds 1-4.
 
@@ -68,7 +69,8 @@ def generate_commands(workdir: Path) -> list[list[str]]:
 
     fixtures = shutil.copytree(FIXTURES, workdir / "fixtures")
     envs = [[]] + [["--env", str(p)] for p in sorted(fixtures.glob("*.env"))]
-    commands = []
+    cals = [str(cal) for cal in sorted(fixtures.glob("*.cal"))]
+    commands = [["check"] + cals, ["horn"] + cals]
     for cal in sorted(fixtures.glob("*.cal")):
         commands += [["check", str(cal)], ["horn", str(cal)]]
         for box in re.findall(r"^box (\w+)", cal.read_text(), re.M):
