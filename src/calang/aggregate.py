@@ -7,13 +7,15 @@ becomes a condition downstream can test.  A pair that fails to unify is
 a warning, not an error: the downstream variable is left unconstrained,
 which loses precision but stays sound.
 
-Cost constraints aggregate through a per-combinator rule table.  For a
-pipeline, latency is ``T_left + (comm + T_right)`` per output channel,
-with ``comm`` a symbolic per-edge communication cost (default symbol
-``comm_cost``); message counts multiply under interval arithmetic.
-Parallel composition is channel-disjoint pass-through.  Statistical
-terms (``Poisson``) and ``unknown`` are carried symbolically and never
-folded.
+Cost constraints aggregate as one ``(latency, message count)`` pair per
+output channel, in a list whose index n is channel n; a box's pairs come
+from its ``$$Tn`` and ``$$Mn``.  For a pipeline, each of the right
+side's pairs gets the left side's connected pair upstream: latency is
+``T_left + (comm + T_right)``, with ``comm`` a symbolic per-edge
+communication cost (default symbol ``comm_cost``), and message counts
+multiply under interval arithmetic.  Parallel composition concatenates
+the lists.  Statistical terms (``Poisson``) and ``unknown`` are carried
+symbolically and never folded.
 
 Each box occurrence in a network becomes an *instance* with its own copy
 of the declaration's variables, so a box used twice keeps its activations
@@ -26,6 +28,7 @@ walks recurse only into parentheses, whose nesting the parser bounds.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -38,6 +41,7 @@ from .clauses import (
     Diagnostic,
     Evaluation,
     Predicate,
+    SemanticError,
     evaluate_box,
     flatten_provided,
     input_store,
@@ -280,122 +284,96 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) ->
 # Extrafunctional aggregation: latency and message counts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LatencyModel:
-    """Per-output-channel cost terms: latency (symbolic complexity,
-    ``Poisson(..)`` or ``unknown``) and message counts (integer,
-    ``limits(lo,hi)``, ``unknown`` or ``unbounded``)."""
-
-    latency: dict[int, Term] = field(default_factory=dict)
-    messages: dict[int, Term] = field(default_factory=dict)
-
-    def channel_count(self) -> int:
-        keys = set(self.latency) | set(self.messages)
-        return max(keys) + 1 if keys else 0
+# A cost model: the (latency, message count) pair of each output channel,
+# index n for channel n.  A latency is a symbolic complexity,
+# ``Poisson(..)`` or ``unknown``; a message count an integer,
+# ``limits(lo,hi)``, ``unknown`` or ``unbounded``.
+Costs = list[tuple[Term, Term]]
 
 
 def cost_channel(name: str) -> Optional[tuple[str, Optional[int]]]:
     """``(kind, n)`` when ``$$name`` is ``$$Tn``, the latency, or ``$$Mn``, the
     message count, of output channel n.  n is None when its decimal digits
-    are not canonical, as in ``T01``; any other name, ``T²`` too, gives None."""
+    are not canonical, as in ``T01``; any other name, ``T²`` too, gives None.
+    A number too long for ``int()`` is past every signature's channels."""
     kind, digits = name[:1], name[1:]
-    if kind in ("T", "M") and digits.isdecimal():
-        return kind, int(digits) if str(int(digits)) == digits else None
-    return None
+    if kind not in ("T", "M") or not digits.isdecimal():
+        return None
+    if not digits.isascii() or (digits[0] == "0" and digits != "0"):
+        return kind, None
+    return kind, int(digits) if len(digits) <= syntax.MAX_DIGITS else sys.maxsize
 
 
-def box_latency_model(inst: Instance, store: BindingStore) -> LatencyModel:
-    """Extract the $$Tn / $$Mn associations of one box instance.
+def box_latency_model(inst: Instance, store: BindingStore) -> Costs:
+    """The costs of one box instance, from its $$Tn / $$Mn associations.
 
     An unasserted latency defaults to ``unknown`` and an unasserted
     message count to ``unbounded``.
     """
-    channels = range(len(inst.decl.outputs))
-    model = LatencyModel(dict.fromkeys(channels, UNKNOWN_SYM),
-                         dict.fromkeys(channels, UNBOUNDED_SYM))
-    for name, var in inst.decl.env_vars.items():
-        kind, n = cost_channel(name) or ("", None)
-        if n in model.latency and store.binding(var) is not None:
-            (model.latency if kind == "T" else model.messages)[n] = resolve(var, store)
-    return model
+    def asserted(name: str, default: Term) -> Term:
+        var = inst.decl.env_vars.get(name)
+        return default if var is None or store.binding(var) is None else resolve(var, store)
+
+    return [(asserted(f"T{n}", UNKNOWN_SYM), asserted(f"M{n}", UNBOUNDED_SYM))
+            for n in range(len(inst.decl.outputs))]
 
 
 def _plus(a: Term, b: Term) -> Term:
     return Tup((Sym("\\plus"), a, b))
 
 
-@dataclass
-class CountRange:
-    lo: int
-    hi: Optional[int]  # None = unbounded
-
-
-def _count_range(t: Term) -> Optional[CountRange]:
-    """Read a message-count term; None means it cannot be interpreted."""
+def _count_range(t: Term) -> Optional[tuple[int, Optional[int]]]:
+    """A message-count term as ``(lo, hi)``, hi None when unbounded; None
+    when it cannot be interpreted."""
     match t:
         case Num() if t.value.denominator == 1 and t.value >= 0:
-            return CountRange(int(t.value), int(t.value))
+            return t.value.numerator, t.value.numerator
         case Sym("unbounded"):
-            return CountRange(0, None)
+            return 0, None
         case Tup((Sym("limits"), Num() as lo, Num() as hi)) if (
                 lo.value.denominator == 1 and hi.value.denominator == 1
                 and 0 <= lo.value <= hi.value):
-            return CountRange(int(lo.value), int(hi.value))
+            return lo.value.numerator, hi.value.numerator
         case _:
             return None
-
-
-def _range_term(r: CountRange) -> Term:
-    if r.hi is None:
-        return UNBOUNDED_SYM
-    if r.lo == r.hi:
-        return Num(Fraction(r.lo))
-    return Tup((Sym("limits"), Num(Fraction(r.lo)), Num(Fraction(r.hi))))
 
 
 def multiply_counts(a: Term, b: Term, zero_lower: bool = False) -> Term:
     """Message-count product under interval arithmetic.
 
     Exact for integers, interval product for ``limits``; ``unknown``
-    absorbs; an exact zero annihilates even ``unbounded``.  With
-    ``zero_lower`` the lower bound drops to zero (unresolved routing).
+    absorbs, as does a product too long to write out; an exact zero
+    annihilates even ``unbounded``.  With ``zero_lower`` the lower bound
+    drops to zero (unresolved routing).
     """
     ra, rb = _count_range(a), _count_range(b)
     if ra is None or rb is None:
         return UNKNOWN_SYM
-    if ra.hi == 0 or rb.hi == 0:
+    (alo, ahi), (blo, bhi) = ra, rb
+    if ahi == 0 or bhi == 0:
         return Num(Fraction(0))
-    if ra.hi is None or rb.hi is None:
+    if ahi is None or bhi is None:
         return UNBOUNDED_SYM
-    lo = 0 if zero_lower else ra.lo * rb.lo
-    return _range_term(CountRange(lo, ra.hi * rb.hi))
+    lo, hi = 0 if zero_lower else alo * blo, ahi * bhi
+    if not syntax.writable(hi):
+        return UNKNOWN_SYM
+    if lo == hi:
+        return Num(Fraction(lo))
+    return Tup((Sym("limits"), Num(Fraction(lo)), Num(Fraction(hi))))
 
 
-def _serial_rule(left: LatencyModel, right: LatencyModel, comm: Term,
-                 fan_out: bool) -> LatencyModel:
-    out = LatencyModel()
-    t_up = left.latency.get(CONNECT_CHANNEL, UNKNOWN_SYM)
-    m_up = left.messages.get(CONNECT_CHANNEL, UNBOUNDED_SYM)
-    for n in sorted(set(right.latency) | set(right.messages)):
-        out.latency[n] = _plus(t_up, _plus(comm, right.latency.get(n, UNKNOWN_SYM)))
-        out.messages[n] = multiply_counts(m_up, right.messages.get(n, UNBOUNDED_SYM),
-                                          zero_lower=fan_out)
-    return out
+def _serial_rule(left: Costs, right: Costs, comm: Term, fan_out: bool) -> Costs:
+    t_up, m_up = left[CONNECT_CHANNEL] if left else (UNKNOWN_SYM, UNBOUNDED_SYM)
+    return [(_plus(t_up, _plus(comm, t)), multiply_counts(m_up, m, zero_lower=fan_out))
+            for t, m in right]
 
 
-def _parallel_rule(models: list[LatencyModel]) -> LatencyModel:
-    out = LatencyModel()
-    base = 0
-    for m in models:
-        for n in sorted(set(m.latency) | set(m.messages)):
-            out.latency[base + n] = m.latency.get(n, UNKNOWN_SYM)
-            out.messages[base + n] = m.messages.get(n, UNBOUNDED_SYM)
-        base += m.channel_count()
-    return out
+def _parallel_rule(models: list[Costs]) -> Costs:
+    return [pair for m in models for pair in m]
 
 
-def aggregate_extrafunctional(expr: NetExpr, store: BindingStore) -> LatencyModel:
-    """Fold the combinator tree into one latency model for the network."""
+def aggregate_extrafunctional(expr: NetExpr, store: BindingStore) -> Costs:
+    """Fold the combinator tree into the network's costs."""
     if isinstance(expr, BoxRef):
         return box_latency_model(expr.instance, store)
     if isinstance(expr, Serial):
@@ -464,10 +442,7 @@ def check_vocabulary(t: Term) -> list[str]:
                     if len(args) != 1:
                         issues.append(f"{name} wants exactly one argument: {term_text(x)}")
                 elif name == "limits":
-                    ok = (len(args) == 2 and all(
-                        isinstance(a, Num) and a.value.denominator == 1 and a.value >= 0
-                        for a in args) and args[0].value <= args[1].value)
-                    if not ok and not any(isinstance(a, Var) for a in args):
+                    if _count_range(x) is None and not any(isinstance(a, Var) for a in args):
                         issues.append(f"limits wants integers 0 <= lo <= hi: {term_text(x)}")
                 for a in args:
                     walk(a)
@@ -521,9 +496,16 @@ def read_input(path: Union[str, Path]) -> str:
 
 
 def load_boxes(*paths: Union[str, Path]) -> list[BoxDeclaration]:
-    """The flattened box declarations of ``.cal`` files, in file order."""
-    return [flatten_provided(d) for path in paths
-            for d in syntax.parse_program(read_input(path))]
+    """The flattened box declarations of ``.cal`` files, in file order.
+    A syntax or semantic error names the file it is in."""
+    decls: list[BoxDeclaration] = []
+    for path in paths:
+        try:
+            decls += [flatten_provided(d) for d in syntax.parse_program(read_input(path))]
+        except (syntax.CalSyntaxError, SemanticError) as e:
+            e.args = (f"{path}: {e}",)
+            raise
+    return decls
 
 
 def _strip_comment(line: str) -> str:

@@ -9,7 +9,8 @@ exception: the enclosing predicate simply does not hold.
 The complexity vocabulary stays symbolic wherever exactness would be
 lost: ``log`` only evaluates on integer powers of two (base 2) and ``^``
 only on integer exponents; anything else evaluates to unknown and is
-carried as a term.
+carried as a term.  So does an exact result whose numerator or
+denominator has more than ``syntax.MAX_DIGITS`` digits.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from .syntax import MAX_DIGITS, writable
 from .terms import (
     HAT,
     MINUS,
@@ -162,6 +164,11 @@ def apply_builtin(name: str, args: list[NumericValue]) -> Union[NumericValue, Pr
         e = expo.numerator
         if base == 0 and e < 0:
             return PredicateFailure(DIVISION_BY_ZERO, "zero raised to a negative power")
+        # The result's numerator or denominator is at least 2 ** (bits * |e|):
+        # refuse one surely too long to write out before computing it.
+        bits = max(abs(base.numerator), base.denominator).bit_length() - 1
+        if bits * abs(e) > 4 * MAX_DIGITS:
+            return UNKNOWN
         return base ** e
     # log: exact only on positive integer powers of two (base 2).
     (a,) = args
@@ -216,7 +223,10 @@ def eval_numeric(t: Term, store: Optional[BindingStore] = None
                 if isinstance(v, PredicateFailure):
                     return v
                 args.append(v)
-            return apply_builtin(head.name, args)
+            value = apply_builtin(head.name, args)
+            if isinstance(value, Fraction) and not writable(value):
+                return UNKNOWN  # too long to write out: carried as its term
+            return value
     return PredicateFailure(UNKNOWN_FUNCTION, repr(t))
 
 

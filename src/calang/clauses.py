@@ -235,13 +235,8 @@ def fire_clause(clause: Clause, store: BindingStore,
 
 
 def _observable_vars(store: BindingStore) -> list[Var]:
-    out = []
-    for v in store.variables():
-        if v.anonymous or v.generated:
-            continue
-        out.append(v)
-    out.sort(key=lambda v: (v.category, v.name, v.vid))
-    return out
+    return sorted((v for v, _ in store.items() if not (v.anonymous or v.generated)),
+                  key=lambda v: (v.category, v.name, v.vid))
 
 
 def branch_snapshot(store: BindingStore) -> tuple:

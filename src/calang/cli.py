@@ -172,11 +172,11 @@ def cmd_aggregate(args) -> int:
                 fired = br.fired.get(inst.name, ())
                 for key, value in _store_table(inst.decl, br.store, fired).items():
                     table[f"{inst.name}: {key}"] = value
-            model = agg.aggregate_extrafunctional(net.expr, br.store)
-            for n in sorted(model.latency):
-                table[f"$$T{n}"] = term_text(model.latency[n])
-            for n in sorted(model.messages):
-                table[f"$$M{n}"] = term_text(model.messages[n])
+            costs = agg.aggregate_extrafunctional(net.expr, br.store)
+            for n, (latency, _) in enumerate(costs):
+                table[f"$$T{n}"] = term_text(latency)
+            for n, (_, messages) in enumerate(costs):
+                table[f"$$M{n}"] = term_text(messages)
             tables.append(table)
         report.add_section(f"net {net.name}", tables)
     return _emit(report, args)

@@ -132,6 +132,19 @@ _OPERATOR_KIND = {
 # Network expressions add the combinators and the cost brackets.
 _NET_OPERATOR_KIND = {**_OPERATOR_KIND, "..": COMBINATOR, "|": COMBINATOR, "[": PUNCT, "]": PUNCT}
 
+# Python's int() and str() refuse integers of more than 4,300 decimal
+# digits (the default int/str conversion limit).  A number literal may
+# have no more, and every number that is written out stays within it.
+MAX_DIGITS = 4300
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+
+
+def writable(value: Union[int, Fraction]) -> bool:
+    """Whether the numerator and the denominator of ``value`` each have at
+    most ``MAX_DIGITS`` digits, so that it can be written out."""
+    return abs(value.numerator) < _DIGITS_BOUND and value.denominator < _DIGITS_BOUND
+
+
 _new = tuple.__new__  # builds a Pos or Token without the keyword-argument __new__
 
 
@@ -181,6 +194,8 @@ def tokenize(source: str, start: Pos = Pos(1, 1),
             append(_new(Token, (KEYWORD if text in KEYWORDS else IDENT, text, pos, None)))
         elif c.isdecimal():
             num, _, den = text.partition("/")
+            if max(len(num), len(den)) > MAX_DIGITS:
+                raise CalSyntaxError(f"number literal with more than {MAX_DIGITS} digits", pos)
             if den and int(den) == 0:
                 raise CalSyntaxError(f"rational literal {text!r} has a zero denominator", pos)
             append(_new(Token, (NUMBER, text, pos, Fraction(int(num), int(den or 1)))))

@@ -407,11 +407,6 @@ def map_vars(t: Term, f: Callable[[Var], Term]) -> Term:
     return SetTerm(elements, union_vars) if changed else t
 
 
-def free_vars(t: Term) -> list[Var]:
-    """All variables occurring in ``t``, in order of first appearance."""
-    return list(dict.fromkeys(iter_vars(t)))
-
-
 # ---------------------------------------------------------------------------
 # Rendering, through the surface syntax's renderer
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from typing import Iterable, Optional
 
 from .terms import (
     ANONYMOUS,
-    ENVIRONMENT,
     LOCAL,
     SET,
     Num,
@@ -88,25 +87,6 @@ class BindingStore:
 
     def items(self):
         return self._bindings.items()
-
-    def variables(self) -> list[Var]:
-        return list(self._bindings)
-
-    def lookup_name(self, name: str, dollars: int = 1) -> Optional[Term]:
-        """Fetch a binding by display name.
-
-        Anonymous and compiler-generated variables are never reachable
-        this way: they can be bound, not referred to.
-        """
-        for var in self._bindings:
-            if var.anonymous or var.generated:
-                continue
-            if var.name != name:
-                continue
-            if (var.category == ENVIRONMENT) != (dollars == 2):
-                continue
-            return resolve(var, self)
-        return None
 
     def __len__(self):
         return len(self._bindings)

@@ -18,7 +18,7 @@ import pytest
 from calang import syntax
 from calang.arith import DIVISION_BY_ZERO, PredicateFailure, eval_numeric
 from calang.clauses import evaluate_box, input_store, parse_box
-from calang.cli import main as cli_main
+from calang.cli import _store_table, main as cli_main
 from calang.horn import to_horn
 from calang.terms import (
     HAT,
@@ -33,7 +33,7 @@ from calang.terms import (
     Tup,
     Var,
     desugar,
-    free_vars,
+    iter_vars,
     term_text,
 )
 from calang.unify import (
@@ -165,11 +165,11 @@ def test_criterion_2_unification_oracle_equivalence():
         generals = [[resolve(r, s) for r in rvars] for s in solutions]
         # ground solutions admit exactly one instance; match those by
         # plain equality and keep the pattern matcher for the rest
-        ground_keys = {tuple(g) for g in generals if not any(map(free_vars, g))}
-        patterns = [g for g in generals if any(map(free_vars, g))]
+        ground_keys = {tuple(g) for g in generals if all(t.ground for t in g)}
+        patterns = [g for g in generals if not all(t.ground for t in g)]
 
         # completeness: every ground unifier is an instance of a solution
-        pair_vars = list(dict.fromkeys(free_vars(t1) + free_vars(t2)))
+        pair_vars = list(dict.fromkeys([*iter_vars(t1), *iter_vars(t2)]))
         elem_vars = [u for u in pair_vars if u != V]
         has_v = V in pair_vars
         seen = set()
@@ -407,10 +407,10 @@ def test_criterion_7_anonymous_variables():
     (br,) = ev.branches
     bound_anons = {v for v, _ in br.store.items() if v.anonymous}
     assert bound_anons == anons
-    assert br.store.lookup_name("_") is None
-    assert br.store.lookup_name("_", dollars=2) is None
+    table = _store_table(box, br.store)
+    assert "$_" not in table and "$$_" not in table
     report(7, "three $_ occurrences make three distinct fresh variables, "
-              "none retrievable by name")
+              "none listed in the report")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from calang.aggregate import (
     BoxRef,
     EnvSpec,
     Instance,
-    LatencyModel,
     Network,
     NetworkError,
     Parallel,
@@ -148,12 +147,12 @@ class TestFunctionalAggregation:
 class TestExtrafunctional:
     def test_serial_latency_shape(self):
         # T = T_left + (comm_cost + T_right), stated rule
-        left = LatencyModel({0: term("$N * log($N)")}, {0: Num(Fraction(1))})
-        right = LatencyModel({0: Num(Fraction(1))}, {0: Num(Fraction(1))})
+        left = [(term("$N * log($N)"), Num(Fraction(1)))]
+        right = [(Num(Fraction(1)), Num(Fraction(1)))]
         from calang.aggregate import _serial_rule
 
-        model = _serial_rule(left, right, COMM_COST, fan_out=False)
-        assert term_text(model.latency[0]) == "$N * log($N) + (comm_cost + 1)"
+        ((latency, _),) = _serial_rule(left, right, COMM_COST, fan_out=False)
+        assert term_text(latency) == "$N * log($N) + (comm_cost + 1)"
 
     def test_interval_product_matches_enumeration(self):
         cases = [(term("limits(5,15)"), term("2")),
@@ -183,24 +182,25 @@ class TestExtrafunctional:
         assert multiply_counts(term("unbounded"), term("2")) == Sym("unbounded")
         assert multiply_counts(term("unbounded"), term("0")) == Num(Fraction(0))
         assert multiply_counts(term("Poisson(1)"), term("2")) == Sym("unknown")
+        # a product too long to write out
+        assert multiply_counts(term("9" * 3000), term("9" * 3000)) == Sym("unknown")
 
     def test_poisson_carried_symbolically(self):
-        left = LatencyModel({0: term("Poisson(unknown)")}, {0: Num(Fraction(1))})
-        right = LatencyModel({0: Num(Fraction(2))}, {0: Num(Fraction(1))})
+        left = [(term("Poisson(unknown)"), Num(Fraction(1)))]
+        right = [(Num(Fraction(2)), Num(Fraction(1)))]
         from calang.aggregate import _serial_rule
 
-        model = _serial_rule(left, right, COMM_COST, fan_out=False)
-        assert "Poisson(unknown)" in term_text(model.latency[0])
+        ((latency, _),) = _serial_rule(left, right, COMM_COST, fan_out=False)
+        assert "Poisson(unknown)" in term_text(latency)
 
     def test_parallel_pass_through(self):
-        m1 = LatencyModel({0: Sym("t1")}, {0: Num(Fraction(1))})
-        m2 = LatencyModel({0: Sym("t2"), 1: Sym("t3")}, {0: Num(Fraction(2)),
-                                                         1: Num(Fraction(3))})
+        m1 = [(Sym("t1"), Num(Fraction(1)))]
+        m2 = [(Sym("t2"), Num(Fraction(2))), (Sym("t3"), Num(Fraction(3)))]
         from calang.aggregate import _parallel_rule
 
         model = _parallel_rule([m1, m2])
-        assert model.latency == {0: Sym("t1"), 1: Sym("t2"), 2: Sym("t3")}
-        assert model.messages[2] == Num(Fraction(3))
+        assert [latency for latency, _ in model] == [Sym("t1"), Sym("t2"), Sym("t3")]
+        assert model[2][1] == Num(Fraction(3))
 
     def test_serial_associativity_modulo_plus(self):
         insts, _ = make_net(A_SRC, B_SRC, "box C ((r) -> (s)): => $$T0 :=: 5;")
@@ -215,8 +215,8 @@ class TestExtrafunctional:
             net = Network("m", expr)
             env = EnvSpec(fields={("A", "x"): term("{value(3)}")})
             ev = aggregate_functional(net, network_input_store(net, env))
-            model = aggregate_extrafunctional(expr, ev.branches[0].store)
-            return model.latency[0]
+            costs = aggregate_extrafunctional(expr, ev.branches[0].store)
+            return costs[0][0]
 
         def flatten_plus(t):
             if isinstance(t, Tup) and t.head == Sym("\\plus"):
@@ -233,8 +233,7 @@ class TestExtrafunctional:
     def test_box_model_defaults(self):
         insts, _ = make_net("box A ((x) -> (y), (z)): => $$T0 :=: 1;")
         model = box_latency_model(insts["A"], BindingStore())
-        assert model.latency == {0: Sym("unknown"), 1: Sym("unknown")}
-        assert model.messages == {0: Sym("unbounded"), 1: Sym("unbounded")}
+        assert model == [(Sym("unknown"), Sym("unbounded"))] * 2
 
 
 class TestVocabulary:

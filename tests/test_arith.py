@@ -143,6 +143,14 @@ class TestBuiltins:
     def test_negative_power_exact(self):
         assert apply_builtin(HAT, [Fraction(2), Fraction(-2)]) == Fraction(1, 4)
 
+    def test_power_too_long_to_write_is_unknown_before_it_is_computed(self):
+        huge = Fraction(10**12)
+        assert apply_builtin(HAT, [Fraction(2), huge]) is UNKNOWN
+        assert apply_builtin(HAT, [Fraction(1, 3), -huge]) is UNKNOWN
+        assert apply_builtin(HAT, [Fraction(0), huge]) == 0
+        assert apply_builtin(HAT, [Fraction(1), -huge]) == 1
+        assert apply_builtin(HAT, [Fraction(-1), huge + 1]) == -1
+
     def test_log_powers_of_two_only(self):
         assert apply_builtin("log", [Fraction(8)]) == 3
         assert apply_builtin("log", [Fraction(1)]) == 0

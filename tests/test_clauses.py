@@ -18,6 +18,7 @@ from calang.clauses import (
     input_store,
     parse_box,
 )
+from calang.cli import _store_table
 from calang.terms import (
     ANONYMOUS,
     ENVIRONMENT,
@@ -34,6 +35,7 @@ from calang.terms import (
     VarScope,
     VarSupply,
     desugar,
+    iter_vars,
     term_text,
 )
 from calang.unify import BindingStore, resolve, unify
@@ -44,6 +46,12 @@ def term(text, scope=None):
 
 
 REAL_7X7 = "{Type(array, element(real), rank(2), shape(7,(7,nil))), packed(row_major)}"
+
+
+def local(box, name):
+    """The box's local variable ``$name``."""
+    return next(v for c in box.clauses for p in c.conditions + c.assertions
+                for t in (p.lhs, p.rhs) for v in iter_vars(t) if v.name == name)
 
 
 def mybox_inputs(box, k_value):
@@ -283,7 +291,8 @@ class TestEvaluateBox:
         box = parse_box(mybox_source)
         ev = evaluate_box(box, mybox_inputs(box, 500))
         (br,) = ev.branches
-        assert br.store.lookup_name("_") is None
+        table = _store_table(box, br.store, br.fired)
+        assert "$_" not in table and "$$_" not in table
         anon_bound = [v for v, _ in br.store.items() if v.anonymous]
         assert anon_bound  # the guards each bound one black hole
 
@@ -292,9 +301,9 @@ class TestEvaluateBox:
         # {} with $z = a, or {$z}.  Neither is an instance of the other.
         box = parse_box("box X ((i) -> (q)): => $q :=: {a} \\/ $_; => $q :=: {a, $z};")
         ev = evaluate_box(box)
-        z = box.clauses[1].assertions[0].rhs.elements[1]
-        assert [(br.store.lookup_name("q"), br.store.lookup_name("z")) for br in ev.branches] == [
-            (term("{a}"), Sym("a")), (SetTerm([Sym("a"), z]), None)]
+        q, z = box.object_vars["q"], local(box, "z")
+        assert [(resolve(q, br.store), resolve(z, br.store)) for br in ev.branches] == [
+            (term("{a}"), Sym("a")), (SetTerm([Sym("a"), z]), z)]
 
     def test_branches_saying_the_same_are_merged(self):
         # Binding $s forks the first clause's branches into 8, which say
@@ -302,8 +311,9 @@ class TestEvaluateBox:
         box = parse_box("box X ((i) -> (q)): => {a} \\/ $s :=: {a, b} \\/ $t; => $s :=: {a, b};")
         ev = evaluate_box(box)
         assert len(ev.branches) == 4
-        assert all(br.store.lookup_name("s") == term("{a, b}") for br in ev.branches)
-        assert {br.store.lookup_name("t") for br in ev.branches} == {
+        s, t = local(box, "s"), local(box, "t")
+        assert all(resolve(s, br.store) == term("{a, b}") for br in ev.branches)
+        assert {resolve(t, br.store) for br in ev.branches} == {
             term("{}"), term("{a}"), term("{b}"), term("{a, b}")}
 
 
@@ -336,4 +346,5 @@ class TestFreshVariableAccounting:
         (br,) = ev.branches
         bound_anons = [v for v, _ in br.store.items() if v.anonymous]
         assert len(bound_anons) == 3
-        assert br.store.lookup_name("_") is None
+        table = _store_table(box, br.store, br.fired)
+        assert "$_" not in table and "$$_" not in table

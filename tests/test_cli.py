@@ -64,7 +64,8 @@ class TestCheck:
         code, out = run(capsys, "check", str(duplicate_field_cal))
         assert code == 1
         assert "status: errors" in out
-        assert "error: line 1, column 1: duplicate field name 'a' in signature" in out
+        assert (f"error: {duplicate_field_cal}: line 1, column 1: "
+                "duplicate field name 'a' in signature") in out
 
 
 class TestEval:
@@ -135,7 +136,8 @@ class TestHorn:
         assert code == 1
         assert captured.out == ""
         assert captured.err == (
-            "error: line 1, column 1: duplicate field name 'a' in signature\n")
+            f"error: {duplicate_field_cal}: line 1, column 1: "
+            "duplicate field name 'a' in signature\n")
 
 
 class TestAggregate:
@@ -295,7 +297,7 @@ class TestDeepNesting:
         code = main(["horn", cal])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err.startswith(f"error: {where}")
+        assert captured.err.startswith(f"error: {cal}: {where}")
 
     @pytest.mark.parametrize("term, value", [
         ("+".join(["1"] * (MAX_TERM_DEPTH + 1)), MAX_TERM_DEPTH + 1),
@@ -457,4 +459,58 @@ def test_non_decimal_digit_is_reported(capsys, tmp_path):
     f.write_text("box b (() -> (b)): => $b = 1 + ²;\n")
     code, out = run(capsys, "check", str(f))
     assert code == 1
-    assert "error: line 1, column 32: unexpected character '²'" in out
+    assert f"error: {f}: line 1, column 32: unexpected character '²'" in out
+
+
+class TestFaultsNameTheirFile:
+    """A syntax or semantic error in a ``.cal`` file names the file, as
+    calang opened it."""
+
+    BAD = "box b ((x -> (y)): => $y = 1;\n"
+    WHERE = "line 1, column 11: expected ')', found '->'"
+
+    def test_check_names_the_bad_file(self, capsys, tmp_path):
+        (tmp_path / "good.cal").write_text("box g ((x) -> (y)): => $y = 1;\n")
+        (tmp_path / "bad.cal").write_text(self.BAD)
+        code, out = run(capsys, "check", str(tmp_path / "good.cal"), str(tmp_path / "bad.cal"))
+        assert code == 1
+        assert f"error: {tmp_path / 'bad.cal'}: {self.WHERE}\n" in out
+
+    def test_aggregate_names_the_used_file(self, capsys, tmp_path):
+        (tmp_path / "bad.cal").write_text(self.BAD)
+        (tmp_path / "m.net").write_text("use bad.cal\nnet m = b\n")
+        code, out = run(capsys, "aggregate", "--net", str(tmp_path / "m.net"))
+        assert code == 1
+        assert f"error: {tmp_path / 'bad.cal'}: {self.WHERE}\n" in out
+
+
+class TestLongNumbers:
+    """Numbers past Python's 4,300-digit int/str limit end in a report."""
+
+    def test_long_literal_is_a_positioned_syntax_error(self, capsys, tmp_path):
+        f = tmp_path / "long.cal"
+        f.write_text("box b (() -> (b)): => $b = " + "9" * 5000 + ";\n")
+        code, out = run(capsys, "check", str(f))
+        assert code == 1
+        assert (f"error: {f}: line 1, column 28: number literal with more than "
+                "4300 digits") in out
+
+    def test_long_channel_number_is_past_the_signature(self, capsys, tmp_path):
+        f = tmp_path / "long.cal"
+        f.write_text("box b (() -> (b)): => $$T" + "9" * 5000 + " :=: 1;\n")
+        code, out = run(capsys, "check", str(f))
+        assert code == 0
+        assert "exceeds the 1 output channel(s) of the signature" in out
+        (tmp_path / "m.net").write_text("use long.cal\nnet m = b\n")
+        code, out = run(capsys, "aggregate", "--net", str(tmp_path / "m.net"))
+        assert code == 0
+        assert "$$T0 = unknown\n" in out
+
+    @pytest.mark.parametrize("power", ["10^5000", "2^(10^12)", "1/(10^3000 * 10^3000)"])
+    def test_long_result_is_carried_as_its_term(self, capsys, tmp_path, power):
+        f = tmp_path / "power.cal"
+        f.write_text(f"box P (() -> (b)): => $b = {power};\n")
+        code, out = run(capsys, "eval", str(f), "P")
+        assert code == 0
+        assert "status: ok" in out
+        assert "fired clauses = 1\n" in out and "  $b = " in out

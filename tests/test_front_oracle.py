@@ -240,8 +240,7 @@ def _net_summary(instances, connections, costs):
     return ([i.name for i in instances],
             [(u.name, d.name, [(a.name, b.name) for a, b in pairs])
              for u, d, pairs in connections],
-            {f"T{n}": term_text(t) for n, t in model.latency.items()},
-            {f"M{n}": term_text(t) for n, t in model.messages.items()})
+            [(term_text(t), term_text(m)) for t, m in model])
 
 
 @settings(max_examples=100, deadline=None)

@@ -25,7 +25,6 @@ from calang.terms import (
     check_set_wellformed,
     classify,
     desugar,
-    free_vars,
     fresh_variable,
     iter_vars,
     map_vars,
@@ -252,7 +251,6 @@ class TestTraversal:
     def test_iter_vars_left_to_right_with_repeats(self):
         t = Tup((self.x, SetTerm([Tup((self.y, self.a)), self.x], [self.v]), self.w))
         assert list(iter_vars(t)) == [self.x, self.y, self.x, self.v, self.w]
-        assert free_vars(t) == [self.x, self.y, self.v, self.w]
 
     def test_map_vars_union_variable_rules(self):
         t = SetTerm([self.a], [self.v])

@@ -24,7 +24,7 @@ from calang.terms import (
     Var,
     VarScope,
     desugar,
-    free_vars,
+    iter_vars,
     map_vars,
     term_text,
 )
@@ -79,7 +79,7 @@ def ground_set_value(st, env):
 def oracle_ground_unifiers(t1, t2, union_vars):
     """Every assignment of ground values to the free variables of the
     pair under which both sides are equal as sets."""
-    all_vars = list(dict.fromkeys(free_vars(t1) + free_vars(t2)))
+    all_vars = list(dict.fromkeys([*iter_vars(t1), *iter_vars(t2)]))
     elem_vars = [u for u in all_vars if u not in union_vars]
     set_vars = [u for u in all_vars if u in union_vars]
     out = []
@@ -227,7 +227,7 @@ def test_resolve_is_idempotent(t, s):
 
 @given(ANY_TERM, STORES)
 def test_resolved_term_has_no_bound_variable(t, s):
-    assert not any(s.is_bound(u) for u in free_vars(resolve(t, s)))
+    assert not any(s.is_bound(u) for u in iter_vars(resolve(t, s)))
 
 
 @given(STORES, st.lists(st.sampled_from(ORDERED_VARS), min_size=1, max_size=4))

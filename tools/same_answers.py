@@ -21,6 +21,9 @@ hash per corpus:
   ``mybox-eval``, ``spec-front`` and ``net-aggregate`` generators write
   for seeds 1-4.
 
+Beside its hashes, each tree's ``src/calang`` line count is printed, the
+count of newlines that ``wc -l`` gives; it is never compared.
+
 The inputs are generated once, into a temporary directory, so every tree
 reads the same files; reports name them by paths relative to that
 directory, so the hashes are the same from one run to the next.  Each tree runs in a child
@@ -189,7 +192,8 @@ def main(argv=None) -> int:
             if proc.returncode != 0:
                 sys.stderr.write(proc.stderr)
                 return 1
-            print(tree)
+            lines = sum(p.read_text().count("\n") for p in (src / "calang").rglob("*.py"))
+            print(f"{tree}: src/calang has {lines} lines")
             sys.stdout.write(proc.stdout)
             results[tree] = proc.stdout
     same = len(set(results.values())) == 1
