@@ -26,7 +26,6 @@ from .clauses import (
     evaluate_condition,
     fire_clause,
     flatten_provided,
-    input_store,
     parse_box,
 )
 from .syntax import CalSyntaxError, parse_declaration, parse_program, parse_term, render, tokenize
@@ -79,7 +78,6 @@ __all__ = [
     "fire_clause",
     "flatten_provided",
     "fresh_variable",
-    "input_store",
     "parse_box",
     "parse_declaration",
     "parse_program",

@@ -29,13 +29,14 @@ walks recurse only into parentheses, whose nesting the parser bounds.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
 from . import syntax
 from .clauses import (
+    ENV_FILE_SPACE,
     BoxDeclaration,
     Clause,
     Diagnostic,
@@ -44,10 +45,10 @@ from .clauses import (
     SemanticError,
     evaluate_box,
     flatten_provided,
-    input_store,
     merge_branches,
 )
 from .terms import (
+    ENVIRONMENT,
     Num,
     SetTerm,
     Sym,
@@ -568,15 +569,7 @@ def parse_network_file(text: str, base_dir: Path = Path(".")) -> NetworkFile:
     return NetworkFile(networks, library)
 
 
-@dataclass
-class EnvSpec:
-    """Parsed environment file: global ``$$name`` values plus per-box
-    ``BOX.$field`` / ``BOX.$$name`` associations."""
-
-    globals: dict[str, Term] = field(default_factory=dict)
-    fields: dict[tuple[str, str], Term] = field(default_factory=dict)
-    env: dict[tuple[str, str], Term] = field(default_factory=dict)
-
+EnvSpec = dict[tuple[Optional[str], str], Term]
 
 # The token kinds of an environment file's targets: "$$NAME", "BOX.$NAME"
 # and "BOX.$$NAME".
@@ -585,9 +578,19 @@ _ENV_TARGETS = ([syntax.ENV_VARIABLE], [syntax.IDENT, syntax.PUNCT, syntax.VARIA
 
 
 def parse_env_file(text: str) -> EnvSpec:
-    spec = EnvSpec()
+    """An environment file as ``{(BOX or None, target as written): term}``.
+
+    Each line, blank and ``--`` comment lines aside, is ``$$NAME = term``
+    for every box, or ``BOX.$NAME = term`` or ``BOX.$$NAME = term`` for the
+    box ``BOX`` in ``eval``; in ``aggregate``, ``A_2.`` names one instance
+    and ``A.`` every instance of box A.  A later line for a target replaces
+    the earlier one in its place.  A box's variable takes its first box-specific
+    association, else its global one, unless it is already bound.  The
+    terms' variables are the file's own.
+    """
+    env: EnvSpec = {}
     # A supply of its own keeps these variables apart from every box's.
-    scope = VarScope(VarSupply("e"))
+    scope = VarScope(VarSupply(ENV_FILE_SPACE))
     for ln, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -599,41 +602,36 @@ def parse_env_file(text: str) -> EnvSpec:
             target = syntax.tokenize(lhs, operators={".": syntax.PUNCT})[:-1]
         except syntax.CalSyntaxError:
             target = []
-        kinds = [t.kind for t in target]
-        if kinds not in _ENV_TARGETS:
+        if [t.kind for t in target] not in _ENV_TARGETS:
             raise NetworkError(f"env line {ln}: expected a '$$NAME', 'BOX.$NAME' or "
                                f"'BOX.$$NAME' target, found {lhs.strip()!r}")
         tokens = syntax.tokenize(rhs, syntax.Pos(ln, len(lhs) + 2))
-        term = desugar(syntax.parse_term(tokens), scope)
-        name = target[-1].value[0]
-        if len(target) == 1:
-            spec.globals[name] = term
-        elif kinds[-1] == syntax.ENV_VARIABLE:
-            spec.env[(target[0].text, name)] = term
-        else:
-            spec.fields[(target[0].text, name)] = term
-    return spec
+        box = target[0].text if len(target) == 3 else None
+        env[(box, target[-1].text)] = desugar(syntax.parse_term(tokens), scope)
+    return env
 
 
 def instance_input_store(decl: BoxDeclaration, labels: tuple[str, ...], env: EnvSpec,
                          base: Optional[BindingStore] = None) -> BindingStore:
-    """Bind the environment file's associations for one box instance.
-
-    ``labels`` are the names its ``BOX.`` lines may use (the instance
-    name and the box name).  A box-specific association wins over a
-    global one, and the first of several box-specific ones wins.
-    """
-    fields: dict[str, Term] = {}
-    for (box, name), term in env.fields.items():
-        if box in labels:
-            if name not in decl.object_vars:
+    """Bind the environment file's associations for one box instance, whose
+    ``BOX.`` lines may use any of ``labels``, as :func:`parse_env_file`
+    states; a ``$$NAME`` no clause mentions joins ``decl.env_vars``."""
+    store = base if base is not None else BindingStore()
+    entries = [(t, term) for (box, t), term in env.items() if box in labels]
+    entries += [(t, term) for (box, t), term in env.items() if box is None]
+    for target, term in entries:
+        name = target.lstrip("$")
+        if target.startswith("$$"):
+            var = decl.env_vars.get(name)
+            if var is None:
+                var = decl.env_vars[name] = decl.supply.fresh(name, ENVIRONMENT)
+        else:
+            var = decl.object_vars.get(name)
+            if var is None:
                 raise NetworkError(f"box {decl.name} has no field {name!r}")
-            fields.setdefault(name, term)
-    specific: dict[str, Term] = {}
-    for (box, name), term in env.env.items():
-        if box in labels:
-            specific.setdefault(name, term)
-    return input_store(decl, fields, {**env.globals, **specific}, base)
+        if not store.is_bound(var):
+            store = store.bind(var, term)
+    return store
 
 
 def network_input_store(net: Network, env: EnvSpec) -> BindingStore:

@@ -29,6 +29,8 @@ from .syntax import Declaration, Pos, ProvidedBlock
 from .terms import ENVIRONMENT, Term, Var, VarScope, VarSupply, desugar, term_text
 from .unify import BindingStore, solution_snapshot, unify
 
+ENV_FILE_SPACE = "e"  # the variable space of the terms in an environment file
+
 
 @dataclass(frozen=True)
 class Predicate:
@@ -77,15 +79,6 @@ class BoxDeclaration:
     @property
     def input_vars(self) -> list[Var]:
         return [self.object_vars[f] for f in self.inputs]
-
-    def env_var(self, name: str) -> Var:
-        """The environment variable ``$$name``, interning it on demand so
-        inputs can be supplied even when no clause mentions the name."""
-        v = self.env_vars.get(name)
-        if v is None:
-            v = self.supply.fresh(name, ENVIRONMENT)
-            self.env_vars[name] = v
-        return v
 
 
 def _desugar_predicate(p: syntax.SurfacePredicate, scope: VarScope) -> Predicate:
@@ -235,7 +228,9 @@ def fire_clause(clause: Clause, store: BindingStore,
 
 
 def _observable_vars(store: BindingStore) -> list[Var]:
-    return sorted((v for v, _ in store.items() if not (v.anonymous or v.generated)),
+    # An environment file's variable shows in a bound box variable's value.
+    return sorted((v for v, _ in store.items()
+                   if not (v.anonymous or v.generated or v.vid[0] == ENV_FILE_SPACE)),
                   key=lambda v: (v.category, v.name, v.vid))
 
 
@@ -305,22 +300,3 @@ def merge_branches(branches: list) -> list:
         out.append(br)
     return out
 
-
-def input_store(decl: BoxDeclaration, fields: dict[str, Term] = None,
-                env: dict[str, Term] = None,
-                base: Optional[BindingStore] = None) -> BindingStore:
-    """Build the input store for :func:`evaluate_box` from field and
-    environment variable associations.  A variable that ``base`` already
-    binds keeps its value."""
-    store = base if base is not None else BindingStore()
-    for name, term in (fields or {}).items():
-        var = decl.object_vars.get(name)
-        if var is None:
-            raise KeyError(f"box {decl.name} has no field {name!r}")
-        if not store.is_bound(var):
-            store = store.bind(var, term)
-    for name, term in (env or {}).items():
-        var = decl.env_var(name)
-        if not store.is_bound(var):
-            store = store.bind(var, term)
-    return store

@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
         raise agg.NetworkError(
             f"no box named {args.box!r} in {args.calfile} "
             f"(found: {', '.join(sorted(by_name)) or 'none'})")
-    env = agg.parse_env_file(agg.read_input(args.env)) if args.env else agg.EnvSpec()
+    env = agg.parse_env_file(agg.read_input(args.env)) if args.env else {}
     store = agg.instance_input_store(decl, (decl.name,), env)
 
     ev = evaluate_box(decl, store)
@@ -155,7 +155,7 @@ def cmd_horn(args) -> int:
 
 def cmd_aggregate(args) -> int:
     netfile = agg.parse_network_file(agg.read_input(args.net), base_dir=Path(args.net).parent)
-    env = agg.parse_env_file(agg.read_input(args.env)) if args.env else agg.EnvSpec()
+    env = agg.parse_env_file(agg.read_input(args.env)) if args.env else {}
     report = Report()
     for net in netfile.networks:
         try:

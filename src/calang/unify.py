@@ -255,6 +255,8 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     v2 = _set_view(s2, store)
     if v1 is None or v2 is None:
         return []
+    if v1 == v2:
+        return [store]  # the empty substitution, the one most general unifier
 
     A, U = list(v1.elements), list(v1.union_vars)
     B, W = list(v2.elements), list(v2.union_vars)

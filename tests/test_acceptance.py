@@ -17,7 +17,8 @@ import pytest
 
 from calang import syntax
 from calang.arith import DIVISION_BY_ZERO, PredicateFailure, eval_numeric
-from calang.clauses import evaluate_box, input_store, parse_box
+from calang.aggregate import instance_input_store
+from calang.clauses import evaluate_box, parse_box
 from calang.cli import _store_table, main as cli_main
 from calang.horn import to_horn
 from calang.terms import (
@@ -64,12 +65,11 @@ def test_criterion_1_mybox_fidelity():
     source = (FIXTURES / "mybox.cal").read_text()
 
     def inputs(box, k):
-        return input_store(
-            box,
-            {"a": term("{Type(array, element(real), rank(2), shape(7,(7,nil))),"
-                       " packed(row_major)}"),
-             "k": term("{value(%d), Type(int)}" % k)},
-            {"nthreads": Num(Fraction(4))})
+        return instance_input_store(box, (box.name,), {
+            (box.name, "$a"): term("{Type(array, element(real), rank(2),"
+                                   " shape(7,(7,nil))), packed(row_major)}"),
+            (box.name, "$k"): term("{value(%d), Type(int)}" % k),
+            (None, "$$nthreads"): Num(Fraction(4))})
 
     box = parse_box(source)
     ev = evaluate_box(box, inputs(box, 500))
@@ -403,7 +403,7 @@ def test_criterion_7_anonymous_variables():
         collect(p.rhs)
     assert len(anons) == 3
 
-    ev = evaluate_box(box, input_store(box, {"x": term("(1, 2, 3)")}))
+    ev = evaluate_box(box, BindingStore().bind(box.object_vars["x"], term("(1, 2, 3)")))
     (br,) = ev.branches
     bound_anons = {v for v, _ in br.store.items() if v.anonymous}
     assert bound_anons == anons

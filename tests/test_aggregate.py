@@ -16,7 +16,6 @@ from calang import syntax
 from calang.aggregate import (
     COMM_COST,
     BoxRef,
-    EnvSpec,
     Instance,
     Network,
     NetworkError,
@@ -107,7 +106,7 @@ class TestConnections:
 class TestFunctionalAggregation:
     def test_value_flows_downstream(self):
         net, insts = serial_net()
-        env = EnvSpec(fields={("A", "x"): term("{value(3), Type(int)}")})
+        env = {("A", "$x"): term("{value(3), Type(int)}")}
         store = network_input_store(net, env)
         ev = aggregate_functional(net, store)
         assert len(ev.branches) == 1
@@ -121,7 +120,7 @@ class TestFunctionalAggregation:
             "box A ((x) -> (y)):\n  $x :=: {value($n)} \\/ $_ => $$T0 :=: 1;",
             B_SRC)
         net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
-        env = EnvSpec(fields={("A", "x"): term("{value(3)}")})
+        env = {("A", "$x"): term("{value(3)}")}
         ev = aggregate_functional(net, network_input_store(net, env))
         (br,) = ev.branches
         assert br.fired.get("B", ()) == ()
@@ -129,15 +128,15 @@ class TestFunctionalAggregation:
                    for d in ev.diagnostics)
 
     def test_single_box_network_matches_evaluate_box(self):
-        from calang.clauses import evaluate_box, input_store
+        from calang.clauses import evaluate_box
 
         insts, _ = make_net(A_SRC)
         net = Network("m", BoxRef(insts["A"]))
-        env = EnvSpec(fields={("A", "x"): term("{value(3)}")})
+        env = {("A", "$x"): term("{value(3)}")}
         ev = aggregate_functional(net, network_input_store(net, env))
         (br,) = ev.branches
         decl = insts["A"].decl
-        direct = evaluate_box(decl, input_store(decl, {"x": term("{value(3)}")}))
+        direct = evaluate_box(decl, BindingStore().bind(decl.object_vars["x"], term("{value(3)}")))
         assert [b.fired for b in direct.branches] == [br.fired["A"]]
         y_net = resolve(decl.object_vars["y"], br.store)
         y_direct = resolve(decl.object_vars["y"], direct.branches[0].store)
@@ -213,7 +212,7 @@ class TestExtrafunctional:
 
         def t_of(expr, insts_map):
             net = Network("m", expr)
-            env = EnvSpec(fields={("A", "x"): term("{value(3)}")})
+            env = {("A", "$x"): term("{value(3)}")}
             ev = aggregate_functional(net, network_input_store(net, env))
             costs = aggregate_extrafunctional(expr, ev.branches[0].store)
             return costs[0][0]
@@ -321,9 +320,9 @@ class TestNetworkFiles:
             "$$nthreads = 4\n"
             "MYBOX.$a = {value(1)}\n"
             "MYBOX.$$T9 = unknown\n")
-        assert spec.globals["nthreads"] == Num(Fraction(4))
-        assert ("MYBOX", "a") in spec.fields
-        assert ("MYBOX", "T9") in spec.env
+        assert spec[(None, "$$nthreads")] == Num(Fraction(4))
+        assert ("MYBOX", "$a") in spec
+        assert ("MYBOX", "$$T9") in spec
 
     def test_env_file_bad_line(self):
         with pytest.raises(NetworkError):
@@ -349,7 +348,7 @@ class TestNetworkFiles:
         insts = net.instances()
         assert [(i.name, i.decl.name) for i in insts] == [("A_2", "A_2"), ("A", "A"),
                                                           ("A_3", "A")]
-        ev = aggregate_functional(net, network_input_store(net, EnvSpec()))
+        ev = aggregate_functional(net, network_input_store(net, {}))
         assert ev.diagnostics == []
         (br,) = ev.branches
         assert br.fired == {"A_2": (0,), "A": (0,), "A_3": (0,)}

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from calang import syntax
+from calang.aggregate import instance_input_store
 from calang.clauses import (
     Clause,
     Predicate,
@@ -15,7 +16,6 @@ from calang.clauses import (
     evaluate_condition,
     fire_clause,
     flatten_provided,
-    input_store,
     parse_box,
 )
 from calang.cli import _store_table
@@ -55,10 +55,10 @@ def local(box, name):
 
 
 def mybox_inputs(box, k_value):
-    return input_store(
-        box,
-        {"a": term(REAL_7X7), "k": term("{value(%d), Type(int)}" % k_value)},
-        {"nthreads": Num(Fraction(4))})
+    return instance_input_store(box, (box.name,), {
+        (box.name, "$a"): term(REAL_7X7),
+        (box.name, "$k"): term("{value(%d), Type(int)}" % k_value),
+        (None, "$$nthreads"): Num(Fraction(4))})
 
 
 class TestFlattenProvided:
@@ -148,7 +148,7 @@ class TestFireClause:
 
     def test_unsatisfied_condition_no_stores_no_failures(self):
         box = parse_box("box b ((x) -> (y)): $x > 10 => $y = 1;")
-        s = input_store(box, {"x": Num(Fraction(1))})
+        s = BindingStore().bind(box.object_vars["x"], Num(Fraction(1)))
         fr = fire_clause(box.clauses[0], s)
         assert not fr.condition_held and fr.stores == [] and fr.failures == []
 
@@ -160,7 +160,7 @@ class TestFireClause:
 
     def test_failed_assertion_discards_branch_with_warning(self):
         box = parse_box("box b ((x) -> (y)): => $x = 1, $y = 2;")
-        s = input_store(box, {"x": Num(Fraction(5))})
+        s = BindingStore().bind(box.object_vars["x"], Num(Fraction(5)))
         ev = evaluate_box(box, s)
         assert ev.branches == []
         assert any(d.severity == "warning" for d in ev.diagnostics)
@@ -186,7 +186,7 @@ class TestFireClause:
         ]
         for body, message in cases:
             box = parse_box(f"box b ((x) -> (y)): {body}")
-            ev = evaluate_box(box, input_store(box, {"x": Num(Fraction(5))}))
+            ev = evaluate_box(box, BindingStore().bind(box.object_vars["x"], Num(Fraction(5))))
             assert ev.branches == []
             assert [d.message for d in ev.diagnostics if d.severity == "warning"] == [
                 f"clause 1: {message}", "box b: no consistent evaluation branch"], body
@@ -195,7 +195,7 @@ class TestFireClause:
         # {$e, $f} matches {1, 3} as e=1, f=3 and as e=3, f=1: the first
         # solution fails the first assertion, the second the second one.
         box = parse_box("box b ((x) -> (y)): $x :=: {$e, $f} => $e > 1, $f > 1;")
-        fr = fire_clause(box.clauses[0], input_store(box, {"x": term("{1, 3}")}),
+        fr = fire_clause(box.clauses[0], BindingStore().bind(box.object_vars["x"], term("{1, 3}")),
                          frozenset(box.input_vars))
         assert fr.condition_held and fr.stores == []
         assert fr.failures == ["assertion does not hold: $e > 1",
@@ -236,11 +236,10 @@ class TestEvaluateBox:
 
     def test_mybox_missing_rank_means_no_assertions(self, mybox_source):
         box = parse_box(mybox_source)
-        store = input_store(
-            box,
-            {"a": term("{Type(array, element(real), shape(7,(7,nil)))}"),
-             "k": term("{value(500), Type(int)}")},
-            {"nthreads": Num(Fraction(4))})
+        store = instance_input_store(box, (box.name,), {
+            (box.name, "$a"): term("{Type(array, element(real), shape(7,(7,nil)))}"),
+            (box.name, "$k"): term("{value(500), Type(int)}"),
+            (None, "$$nthreads"): Num(Fraction(4))})
         ev = evaluate_box(box, store)
         assert [br.fired for br in ev.branches] == [()]
         assert len(ev.branches[0].store) == len(store)
@@ -283,7 +282,7 @@ class TestEvaluateBox:
         outs = []
         for src in (src_ab, src_ba):
             box = parse_box(src)
-            ev = evaluate_box(box, input_store(box, {"x": Num(Fraction(5))}))
+            ev = evaluate_box(box, BindingStore().bind(box.object_vars["x"], Num(Fraction(5))))
             outs.append({named_content(box, b.store) for b in ev.branches})
         assert outs[0] == outs[1]
 
@@ -341,7 +340,7 @@ class TestFreshVariableAccounting:
             collect(p.rhs)
         assert len(anons) == 3
 
-        s = input_store(box, {"x": term("(1, 2, 3)")})
+        s = BindingStore().bind(box.object_vars["x"], term("(1, 2, 3)"))
         ev = evaluate_box(box, s)
         (br,) = ev.branches
         bound_anons = [v for v, _ in br.store.items() if v.anonymous]

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,14 @@ class TestEval:
         for key, value in branch.items():
             assert f"{key} = {value}" in text_out
         assert data["status"] in text_out
+
+    def test_identical_sets_hold_for_an_unbound_input(self, capsys, tmp_path):
+        f = tmp_path / "x.cal"
+        f.write_text("box X ((x) -> (y)): {} \\/ $x :=: {} \\/ $x => $y = 1;\n")
+        code, out = run(capsys, "eval", str(f), "X")
+        assert code == 0
+        assert "status: ok" in out
+        assert "  fired clauses = 1\n  $y = 1\n" in out
 
     def test_semantic_error_is_reported(self, capsys, duplicate_field_cal):
         code, out = run(capsys, "eval", str(duplicate_field_cal), "X")
@@ -422,6 +431,47 @@ class TestInputFiles:
         assert captured.err.startswith(f"error: cannot write {out}: ")
 
 
+class TestEnvPrecedence:
+    """Which line of an environment file binds a variable.  ``net n = B | B``
+    has the instances ``B`` and ``B_2``; ``B_2`` reads ``B_2.`` and ``B.``
+    lines."""
+
+    BOX = "box B ((x) -> (y)): => $y :=: $x;\n"
+
+    @pytest.mark.parametrize("command, env, code, lines", [
+        # For the same target, the last line wins.
+        ("eval", "B.$x = 1\n$$n = 1\nB.$x = 2\n$$n = 2\n", 0, ["  $x = 2", "  $$n = 2"]),
+        # Of a line under the instance name and one under the box name,
+        # the first wins.
+        ("aggregate", "B_2.$x = 1\nB.$x = 2\n", 0, ["B: $x = 2", "B_2: $x = 1"]),
+        ("aggregate", "B.$x = 2\nB_2.$x = 1\n", 0, ["B: $x = 2", "B_2: $x = 2"]),
+        # A box-specific line beats a global one, before or after it.
+        ("eval", "$$n = 1\nB.$$n = 2\n", 0, ["  $$n = 2"]),
+        ("eval", "B.$$n = 2\n$$n = 1\n", 0, ["  $$n = 2"]),
+        ("aggregate", "$$n = 1\nB_2.$$n = 2\n", 0, ["B: $$n = 1", "B_2: $$n = 2"]),
+        # A field the box does not have is an error.
+        ("eval", "B.$nope = 1\n", 1, ["error: box B has no field 'nope'"]),
+        ("aggregate", "B.$nope = 1\n", 1, ["error: box B has no field 'nope'"]),
+        # An environment variable no clause mentions is still reported.
+        ("eval", "$$foo = 3\n", 0, ["  $$foo = 3"]),
+    ])
+    def test_env_precedence(self, capsys, tmp_path, command, env, code, lines):
+        (tmp_path / "b.cal").write_text(self.BOX)
+        (tmp_path / "b.net").write_text("use b.cal\nnet n = B | B\n")
+        (tmp_path / "b.env").write_text(env)
+        argv = (["eval", str(tmp_path / "b.cal"), "B"] if command == "eval"
+                else ["aggregate", "--net", str(tmp_path / "b.net")])
+        got, out = run(capsys, *argv, "--env", str(tmp_path / "b.env"))
+        assert got == code
+        for line in lines:
+            assert line + "\n" in out
+
+
+def _branch_tables(out):
+    """The tables of a text report's branches, in order."""
+    return re.split(r"^branch \d+ of \d+:\n", out.split("\ndiagnostics:")[0], flags=re.M)[1:]
+
+
 def test_env_variables_are_apart_from_box_variables(capsys, tmp_path):
     # The env file's $w is not the box's first variable $x.
     (tmp_path / "b.cal").write_text("box B ((x) -> (y)): $x :=: {a} \\/ $r => $y :=: $r;\n")
@@ -430,7 +480,28 @@ def test_env_variables_are_apart_from_box_variables(capsys, tmp_path):
                     "--env", str(tmp_path / "b.env"))
     assert code == 0
     assert "status: ok" in out
-    assert "branch 3 of 3:" in out
+    # B binds $w in two ways with the same tables: the env file's $w is
+    # no box variable, so those branches are one.
+    assert "branch 2 of 2:" in out and "branch 3" not in out
+    first, second = _branch_tables(out)
+    assert first != second
+
+
+def test_env_variable_shared_by_two_boxes_keeps_branches_apart(capsys, tmp_path):
+    # B binds the env file's $w in two ways, and C's $x holds $w too, so
+    # every branch prints a table of its own.
+    (tmp_path / "bc.cal").write_text("box B ((x) -> (y)): $x :=: {a} \\/ $r => $y :=: $r;\n"
+                                     "box C ((x) -> (y)): => $y :=: $x;\n")
+    (tmp_path / "bc.net").write_text("use bc.cal\nnet n = B | C\n")
+    (tmp_path / "bc.env").write_text("B.$x = {a, b} \\/ $w\nC.$x = {c} \\/ $w\n")
+    code, out = run(capsys, "aggregate", "--net", str(tmp_path / "bc.net"),
+                    "--env", str(tmp_path / "bc.env"))
+    assert code == 0
+    assert "status: ok" in out
+    tables = _branch_tables(out)
+    assert len(tables) == 3 and "branch 3 of 3:" in out
+    assert len(set(tables)) == 3
+    assert "  C: $x = {c, a} \\/ $_G0\n" in tables[2]
 
 
 def test_channel_digits_must_be_canonical(capsys, tmp_path):

@@ -31,9 +31,9 @@ from hypothesis import given, settings, strategies as st
 
 from calang import syntax
 from calang.cli import main
-from calang.clauses import evaluate_box, input_store, parse_box
+from calang.clauses import evaluate_box, parse_box
 from calang.terms import PLUS, Sym, Tup, desugar, term_text
-from calang.unify import resolve
+from calang.unify import BindingStore, resolve
 
 INPUT = "{value(7), tag(1)}"
 MAX_REMAINDERS = 3  # at most 8 branches a network
@@ -152,7 +152,8 @@ def oracle_branches(components: list[Component]) -> list[dict[str, str]]:
             grown = []
             for br in branches:
                 x = desugar(syntax.parse_term(INPUT)) if up is None else br[up.name][1]
-                for sub in evaluate_box(decl, input_store(decl, {"x": x})).branches:
+                inputs = BindingStore().bind(decl.object_vars["x"], x)
+                for sub in evaluate_box(decl, inputs).branches:
                     table = {"fired clauses": ", ".join(str(i + 1) for i in sub.fired)}
                     for name, var in decl.object_vars.items():
                         table[f"${name}"] = term_text(resolve(var, sub.store))

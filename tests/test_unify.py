@@ -313,6 +313,14 @@ class TestUnifySets:
         (s,) = unify_sets(SetTerm(), SetTerm(), BindingStore())
         assert len(s) == 0
 
+    def test_identical_sets_unify_without_binding(self):
+        # The empty substitution is the one most general unifier, so
+        # frozen variables may take part.
+        store = BindingStore()
+        for s in (SetTerm([], [x]), SetTerm([a, y], [x])):
+            (got,) = unify_sets(s, s, store, frozenset([x, y]))
+            assert got is store
+
     def test_ground_unequal_fails(self):
         assert unify_sets(SetTerm([a]), SetTerm([b]), BindingStore()) == []
 

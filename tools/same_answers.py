@@ -22,7 +22,10 @@ hash per corpus:
   for seeds 1-4.
 
 Beside its hashes, each tree's ``src/calang`` line count is printed, the
-count of newlines that ``wc -l`` gives; it is never compared.
+count of newlines that ``wc -l`` gives; it is never compared.  When a
+corpus hashes differently in two trees, the script prints how many of its
+items differ and the first three: an item is a pair of a set corpus, or a
+command of ``reports`` with its format.
 
 The inputs are generated once, into a temporary directory, so every tree
 reads the same files; reports name them by paths relative to that
@@ -104,18 +107,26 @@ def generate_commands(workdir: Path) -> list[list[str]]:
 # Hashes, computed in a child process against one tree
 # ---------------------------------------------------------------------------
 
-def _solution_dump(pairs, digest) -> int:
+def _item(name: str, label: str, data: bytes, digest) -> None:
+    """Add one item's bytes to its corpus digest, and print the item's own
+    hash for the parent process to compare."""
+    digest.update(data)
+    print(f"item\t{name}\t{label}\t{hashlib.sha256(data).hexdigest()}")
+
+
+def _solution_dump(name: str, pairs, digest) -> int:
     """Hash every solution of every pair; return the number of solutions."""
+    from calang.terms import term_text
     from calang.unify import BindingStore, _relevant_vars, solution_snapshot, unify_sets
 
     count = 0
     for t1, t2 in pairs:
         rvars = _relevant_vars([t1, t2], BindingStore())
-        digest.update(repr((t1, t2)).encode())
+        data = [repr((t1, t2)).encode()]
         for s in unify_sets(t1, t2, BindingStore()):
-            digest.update(repr(solution_snapshot(s, rvars)).encode())
+            data.append(repr(solution_snapshot(s, rvars)).encode())
             count += 1
-        digest.update(b"\n")
+        _item(name, f"{term_text(t1)} ~ {term_text(t2)}", b"".join(data) + b"\n", digest)
     return count
 
 
@@ -150,7 +161,7 @@ def child(commands_file: str) -> None:
     shared, distinct = _universes()
     for name, pairs in (("criterion-2", shared), ("distinct-union", distinct)):
         digest = hashlib.sha256()
-        solutions = _solution_dump(pairs, digest)
+        solutions = _solution_dump(name, pairs, digest)
         print(f"{name}: {len(pairs)} pairs, {solutions} solutions, {digest.hexdigest()}",
               flush=True)
 
@@ -161,7 +172,8 @@ def child(commands_file: str) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["--format", fmt] + argv)
-        digest.update(repr((fmt, argv, code, out.getvalue(), err.getvalue())).encode())
+        _item("reports", " ".join(["--format", fmt] + argv),
+              repr((fmt, argv, code, out.getvalue(), err.getvalue())).encode(), digest)
         count += 1
     print(f"reports: {count} reports, {digest.hexdigest()}", flush=True)
 
@@ -194,9 +206,26 @@ def main(argv=None) -> int:
                 return 1
             lines = sum(p.read_text().count("\n") for p in (src / "calang").rglob("*.py"))
             print(f"{tree}: src/calang has {lines} lines")
-            sys.stdout.write(proc.stdout)
-            results[tree] = proc.stdout
-    same = len(set(results.values())) == 1
+            hashes, items = {}, {}
+            for line in proc.stdout.splitlines():
+                if line.startswith("item\t"):
+                    _, name, label, digest = line.split("\t")
+                    items.setdefault(name, []).append((label, digest))
+                else:
+                    print(line)
+                    hashes[line.split(":")[0]] = line
+            results[tree] = hashes, items
+    first, (hashes, items) = next(iter(results.items()))
+    for tree, (other_hashes, other_items) in results.items():
+        for name, line in hashes.items():
+            if other_hashes.get(name) != line:
+                differ = [label for (label, a), (_, b) in zip(items[name], other_items[name])
+                          if a != b]
+                print(f"{name}: {len(differ)} of {len(items[name])} items differ between "
+                      f"{first} and {tree}, first:")
+                for label in differ[:3]:
+                    print(f"  {label}")
+    same = all(h == hashes for h, _ in results.values())
     print("same answers" if same else "ANSWERS DIFFER")
     return 0 if same else 1
 
