@@ -16,17 +16,36 @@ Conditions are tests, not wishes: an input object variable that has no
 association cannot acquire one inside a condition.  A condition that
 would need to bind such a variable simply fails, so a box given no input
 information asserts nothing.
+
+Branches that say the same are merged, the first one kept.  What a
+branch says is its *full key*, :func:`branch_snapshot`: every named
+variable bound in the store, which in a network is the whole network's,
+with its resolved value, unbound variables renamed by first appearance.
+A box evaluation binds only its own variables, variables it creates
+(generated past the input store's counter) and variables reachable from
+its own variables' values.  When every branch binds only the first two
+kinds, no older binding's resolved value changes, as none holds an
+unbound variable of the box.  Two branches then have equal full keys
+exactly when they have equal *local keys*: the box's bound named
+variables with their resolved values, in which the box's variables and
+the new ones are renamed by first appearance and every older variable
+keeps its identity, as the older bindings in the full key pin it.  The
+local key costs what the box's values cost, so a box's merge does not
+slow down with the length of the chain upstream of it.  When some branch
+binds any other variable, such as an upstream ``$r`` or an environment
+file's ``$w``, every branch of that merge gets the full key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from functools import cached_property
+from typing import Callable, Iterable, Optional
 
 from . import syntax
 from .arith import PredicateFailure, eval_relation
 from .syntax import Declaration, Pos, ProvidedBlock
-from .terms import ENVIRONMENT, Term, Var, VarScope, VarSupply, desugar, term_text
+from .terms import ENVIRONMENT, Term, Var, VarScope, VarSupply, desugar, iter_vars, term_text
 from .unify import BindingStore, solution_snapshot, unify
 
 ENV_FILE_SPACE = "e"  # the variable space of the terms in an environment file
@@ -79,6 +98,14 @@ class BoxDeclaration:
     @property
     def input_vars(self) -> list[Var]:
         return [self.object_vars[f] for f in self.inputs]
+
+    @cached_property
+    def variables(self) -> dict[Var, None]:
+        """The box's own variables, in order: its object variables, then
+        every other variable of its clauses."""
+        preds = [p for c in self.clauses for p in c.conditions + c.assertions]
+        return dict.fromkeys([*self.object_vars.values(),
+                              *(v for p in preds for t in (p.lhs, p.rhs) for v in iter_vars(t))])
 
 
 def _desugar_predicate(p: syntax.SurfacePredicate, scope: VarScope) -> Predicate:
@@ -234,12 +261,36 @@ def _observable_vars(store: BindingStore) -> list[Var]:
                   key=lambda v: (v.category, v.name, v.vid))
 
 
+def _snapshot(store: BindingStore, rvars: list[Var],
+              keep: Optional[Callable[[Var], bool]] = None) -> tuple:
+    return tuple(zip((v.vid for v in rvars), solution_snapshot(store, rvars, keep)))
+
+
 def branch_snapshot(store: BindingStore) -> tuple:
-    """Fingerprint of a branch's observable content: every named variable
-    with its fully resolved value, anonymous/generated bindings ignored."""
-    rvars = _observable_vars(store)
-    snap = solution_snapshot(store, rvars)
-    return tuple(zip((v.vid for v in rvars), snap))
+    """The full key of a branch: every named variable bound anywhere in
+    the store with its fully resolved value, anonymous/generated bindings
+    ignored.  Its cost grows with the store, so with the network."""
+    return _snapshot(store, _observable_vars(store))
+
+
+def _box_key(decl: BoxDeclaration, base: BindingStore, branches: list[Branch]):
+    """The key on which :func:`evaluate_box` merges ``branches``, all of
+    which extend ``base``: the local key, unless some branch bound a
+    variable that is neither the box's nor new, when every branch gets
+    the full key."""
+    own = decl.variables
+
+    def local(v: Var) -> bool:
+        return v in own or base.newer(v)
+
+    if not all(local(v) for br in branches for v in br.store.since(base)):
+        return branch_snapshot
+
+    def local_snapshot(store: BindingStore) -> tuple:
+        rvars = [v for v in own if not v.anonymous and store.is_bound(v)]
+        return _snapshot(store, rvars, lambda v: not local(v))
+
+    return local_snapshot
 
 
 def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) -> Evaluation:
@@ -247,8 +298,9 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
 
     Clause effects accumulate per branch; a clause whose condition fails
     leaves the branch unchanged, and a clause whose assertions cannot
-    hold discards it.  Branches that agree on every named variable are
-    merged.
+    hold discards it.  After each clause, branches that agree on every
+    named variable are merged, on the local key when it applies (see the
+    module docstring).
     """
     store = inputs if inputs is not None else BindingStore()
     frozen = frozenset(decl.input_vars)
@@ -274,7 +326,7 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
                 nxt.append(Branch(s, br.fired + (idx,)))
         if not fired_somewhere:
             diagnostics.append(Diagnostic("note", f"{label}: condition not satisfied", clause.pos))
-        branches = merge_branches(nxt)
+        branches = nxt if len(nxt) < 2 else merge_branches(nxt, _box_key(decl, store, nxt))
 
     if not branches:
         diagnostics.append(Diagnostic(
@@ -282,21 +334,21 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
     return Evaluation(branches, diagnostics)
 
 
-def merge_branches(branches: list) -> list:
-    """Drop branches whose stores say the same as an earlier one's.
+def merge_branches(branches: list, key=branch_snapshot) -> list:
+    """Drop branches whose stores have the same ``key`` as an earlier one's.
 
     Serves box branches and network branches alike: both carry a
-    ``store``.  Order is preserved.
+    ``store``.  A network merges on the full key, :func:`branch_snapshot`.
+    Order is preserved.
     """
     if len(branches) < 2:
         return branches
     seen = set()
     out = []
     for br in branches:
-        key = branch_snapshot(br.store)
-        if key in seen:
+        k = key(br.store)
+        if k in seen:
             continue
-        seen.add(key)
+        seen.add(k)
         out.append(br)
     return out
-

@@ -35,7 +35,8 @@ by :func:`resolve`.  Every walk over a term goes through
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Optional
 
 from .terms import (
     ANONYMOUS,
@@ -84,6 +85,17 @@ class BindingStore:
     def fresh_union_var(self) -> tuple[Var, "BindingStore"]:
         v = Var(("g", self._fresh), f"_G{self._fresh}", LOCAL)
         return v, BindingStore(self._bindings, self._fresh + 1)
+
+    def newer(self, var: Var) -> bool:
+        """True when ``var`` is a generated variable that this store's
+        counter has not issued: one that a descendant store made."""
+        return var.generated and var.vid[1] >= self._fresh
+
+    def since(self, base: "BindingStore") -> list[Var]:
+        """The variables bound after ``base``, an ancestor of this store,
+        in binding order."""
+        added = len(self._bindings) - len(base._bindings)
+        return list(islice(reversed(self._bindings), added))[::-1]
 
     def items(self):
         return self._bindings.items()
@@ -365,18 +377,19 @@ def _relevant_vars(terms: Iterable[Term], store: BindingStore) -> list[Var]:
     return list(out)
 
 
-def solution_snapshot(store: BindingStore, rvars: list[Var]) -> tuple:
+def solution_snapshot(store: BindingStore, rvars: list[Var],
+                      keep: Optional[Callable[[Var], bool]] = None) -> tuple:
     """A hashable fingerprint of what a solution says about ``rvars``.
 
-    Every other variable in the resolved values becomes a placeholder
-    numbered by first appearance, so alpha-equivalent solutions compare
-    equal.
+    Every variable in the resolved values that ``keep`` rejects, by
+    default every one outside ``rvars``, becomes a placeholder numbered
+    by first appearance, so alpha-equivalent solutions compare equal.
     """
-    keep = frozenset(rvars)
+    keep = keep or frozenset(rvars).__contains__
     placeholders: dict[Var, Var] = {}
 
     def placeholder(v: Var) -> Var:
-        if v in keep:
+        if keep(v):
             return v
         if v not in placeholders:
             placeholders[v] = Var(("snapshot", len(placeholders)), "_", ANONYMOUS)

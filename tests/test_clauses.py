@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import pytest
 
-from calang import syntax
+from calang import aggregate, syntax
 from calang.aggregate import instance_input_store
 from calang.clauses import (
+    Branch,
     Clause,
     Predicate,
     SemanticError,
+    _box_key,
     branch_snapshot,
     evaluate_box,
     evaluate_condition,
     fire_clause,
     flatten_provided,
+    merge_branches,
     parse_box,
 )
 from calang.cli import _store_table
@@ -314,6 +317,99 @@ class TestEvaluateBox:
         assert all(resolve(s, br.store) == term("{a, b}") for br in ev.branches)
         assert {resolve(t, br.store) for br in ev.branches} == {
             term("{}"), term("{a}"), term("{b}"), term("{a, b}")}
+
+
+def box_evaluations(monkeypatch, tmp_path, cal, expr, env=""):
+    """Aggregate the network ``expr`` over the boxes of ``cal``: the
+    evaluation, and the declaration and input store of every box
+    evaluation made on the way."""
+    calls = []
+
+    def record(decl, inputs):
+        calls.append((decl, inputs))
+        return evaluate_box(decl, inputs)
+
+    monkeypatch.setattr(aggregate, "evaluate_box", record)
+    (tmp_path / "lib.cal").write_text(cal)
+    (net,) = aggregate.parse_network_file(f"use lib.cal\nnet m = {expr}\n", tmp_path).networks
+    store = aggregate.network_input_store(net, aggregate.parse_env_file(env))
+    return aggregate.aggregate_functional(net, store), calls
+
+
+def merge_is_exact(decl, store):
+    """Assert that evaluating a one-clause box keeps the branches with
+    distinct full keys, first ones first; return whether each branch bound
+    only the box's variables and new ones, so that the local key applied."""
+    (clause,) = decl.clauses
+    stores = fire_clause(clause, store, frozenset(decl.input_vars)).stores
+    assert len(stores) > 1
+    assert [branch_snapshot(br.store) for br in evaluate_box(decl, store).branches] == \
+        list(dict.fromkeys(branch_snapshot(s) for s in stores))
+    return all(v in decl.variables or store.newer(v) for s in stores for v in s.since(store))
+
+
+RELAY = "box {} ((x) -> (y)): $x :=: {{value($v)}} \\/ $_ => $y :=: {{value($v), Type(int)}};\n"
+REMAINDER = "box {} ((x) -> (y)): $x :=: {{value($v)}} \\/ $r => $y :=: {{value($v)}} \\/ $r;\n"
+
+
+class TestBranchMergeKey:
+    """A box merges its branches on its own variables' values unless it
+    binds a variable from outside; either way it merges exactly as the
+    full key, :func:`branch_snapshot`, does."""
+
+    def test_since_lists_the_bindings_after_an_ancestor(self):
+        a, b, c = (Var(("t", i), name, LOCAL) for i, name in enumerate("abc"))
+        base = BindingStore().bind(a, Num(Fraction(1)))
+        g, store = base.fresh_union_var()
+        store = store.bind(c, SetTerm((), (g,))).bind(b, Num(Fraction(2)))
+        assert store.since(base) == [c, b]
+        assert store.since(BindingStore()) == [a, c, b]
+        assert base.since(base) == []
+        assert base.newer(g) and not store.newer(g) and not base.newer(a)
+
+    def test_local_key_keeps_the_identity_of_older_variables(self):
+        # $r shows in $w, bound before the box ran; a box branch that holds
+        # $r in $y says something else than one that holds a new variable.
+        box = parse_box("box B ((x) -> (y)): => $y :=: $x;")
+        y = box.object_vars["y"]
+        w, r = Var(("t", 0), "w", LOCAL), Var(("t", 1), "r", LOCAL)
+        base = BindingStore().bind(w, SetTerm([Sym("a")], [r]))
+        g, fresh = base.fresh_union_var()
+        branches = [Branch(base.bind(y, SetTerm([Sym("a")], [r])), (0,)),
+                    Branch(fresh.bind(y, SetTerm([Sym("a")], [g])), (0,))]
+        key = _box_key(box, base, branches)
+        assert key is not branch_snapshot
+        assert merge_branches(branches, key) == merge_branches(branches) == branches
+
+    @pytest.mark.parametrize("box, boxes, branches", [(RELAY, 3, 1), (REMAINDER, 2, 4)],
+                             ids=["relay", "remainder"])
+    def test_boxes_that_bind_their_own_variables_merge_on_the_local_key(
+            self, monkeypatch, tmp_path, box, boxes, branches):
+        names = [f"R{i}" for i in range(boxes)]
+        ev, calls = box_evaluations(
+            monkeypatch, tmp_path, "".join(box.format(n) for n in names), " .. ".join(names),
+            "R0.$x = {value(7), Type(int), tag(1)}\n")
+        assert len(ev.branches) == branches
+        assert all(merge_is_exact(decl, store) for decl, store in calls)
+
+    def test_binding_an_upstream_variable_falls_back_to_the_full_key(self, monkeypatch, tmp_path):
+        # B binds A's $r in some branches; branches 1 and 3 then print the
+        # same tables, and differ only in whether $r was bound.
+        ev, calls = box_evaluations(
+            monkeypatch, tmp_path, "box A ((x) -> (y)): => $y :=: {a} \\/ $r;\n"
+            "box B ((x) -> (y)): $x :=: {a} \\/ $q => $y :=: $q;\n", "A .. B")
+        assert len(ev.branches) == 3
+        (b, store) = calls[1]
+        assert not merge_is_exact(b, store)
+
+    def test_binding_an_env_file_variable_falls_back_to_the_full_key(self, monkeypatch, tmp_path):
+        # The boxes of test_env_variable_shared_by_two_boxes_keeps_branches_apart.
+        ev, calls = box_evaluations(
+            monkeypatch, tmp_path, "box B ((x) -> (y)): $x :=: {a} \\/ $r => $y :=: $r;\n"
+            "box C ((x) -> (y)): => $y :=: $x;\n", "B | C", "B.$x = {a, b} \\/ $w\n"
+            "C.$x = {c} \\/ $w\n")
+        assert len(ev.branches) == 3
+        assert not merge_is_exact(*calls[0])
 
 
 class TestFreshVariableAccounting:

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,26 @@ class TestLongNetworks:
         assert code == 0
         assert "B_1500: fired clauses = (none)" in out
         assert "  $$T0 = unknown" + " + (comm_cost + unknown)" * 1499 + "\n" in out
+
+    def test_600_relay_chain_aggregates_under_6_s(self, capsys, tmp_path):
+        # A box merges its branches on its own variables, so its merge
+        # does not slow down with the length of the chain upstream of it.
+        latencies = [i % 40 + 1 for i in range(600)]
+        (tmp_path / "r.cal").write_text("".join(
+            f"box R{i} ((x) -> (y)): $x :=: {{value($v)}} \\/ $_ => $y :=: "
+            f"{{value($v), Type(int)}}, $$T0 :=: {t}, $$M0 :=: 1;\n"
+            for i, t in enumerate(latencies)))
+        (tmp_path / "r.net").write_text(
+            "use r.cal\nnet m = " + " .. ".join(f"R{i}" for i in range(600)) + "\n")
+        (tmp_path / "r.env").write_text("R0.$x = {value(7), Type(int)}\n")
+        start = time.perf_counter()
+        code, out = run(capsys, "--format", "json", "aggregate", "--net",
+                        str(tmp_path / "r.net"), "--env", str(tmp_path / "r.env"))
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        (branch,) = json.loads(out)["sections"][0]["branches"]
+        assert branch["$$T0"] == "1" + "".join(f" + (comm_cost + {t})" for t in latencies[1:])
+        assert elapsed < 6.0
 
     @pytest.mark.parametrize("depth", [250, 3000])
     def test_deep_parentheses(self, capsys, tmp_path, depth):
