@@ -240,8 +240,8 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) ->
             diagnostics.append(Diagnostic(severity, message))
 
     for inst in order:
-        nxt: list[NetBranch] = []
-        for br in branches:
+        groups: list[tuple[BindingStore, list[NetBranch]]] = [(br.store, []) for br in branches]
+        for br, (_, nxt) in zip(branches, groups):
             stores = [br.store]
             for conn in incoming.get(inst.name, ()):
                 for up_var, down_var in conn.pairs:
@@ -276,7 +276,7 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) ->
                     fired = dict(br.fired)
                     fired[inst.name] = sub.fired
                     nxt.append(NetBranch(sub.store, fired))
-        branches = merge_branches(nxt)
+        branches = merge_branches(groups, inst.decl.variables)
 
     return Evaluation(branches, diagnostics)
 

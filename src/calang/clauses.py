@@ -17,23 +17,26 @@ association cannot acquire one inside a condition.  A condition that
 would need to bind such a variable simply fails, so a box given no input
 information asserts nothing.
 
-Branches that say the same are merged, the first one kept.  What a
-branch says is its *full key*, :func:`branch_snapshot`: every named
-variable bound in the store, which in a network is the whole network's,
-with its resolved value, unbound variables renamed by first appearance.
-A box evaluation binds only its own variables, variables it creates
-(generated past the input store's counter) and variables reachable from
-its own variables' values.  When every branch binds only the first two
-kinds, no older binding's resolved value changes, as none holds an
-unbound variable of the box.  Two branches then have equal full keys
-exactly when they have equal *local keys*: the box's bound named
-variables with their resolved values, in which the box's variables and
-the new ones are renamed by first appearance and every older variable
-keeps its identity, as the older bindings in the full key pin it.  The
-local key costs what the box's values cost, so a box's merge does not
-slow down with the length of the chain upstream of it.  When some branch
-binds any other variable, such as an upstream ``$r`` or an environment
-file's ``$w``, every branch of that merge gets the full key.
+Branches that say the same are merged, the first one kept: a box's after
+each clause, a network's after each box instance, by
+:func:`merge_branches`.  What a branch says is its *full key*,
+:func:`branch_snapshot`: every named variable bound in the store, which
+in a network is the whole network's, with its resolved value, unbound
+variables renamed by first appearance.  The branches come in groups, each
+extending one base store: the box's input store, or the store of the
+network branch they grew from.  When every branch binds only the box's
+own variables and variables generated past its base's counter, no older
+binding's resolved value changes, as none holds an unbound variable of
+the box or a new one.  Branches of two groups then differ as their
+bases, already merged, do; two of one group have equal full keys exactly
+when they have equal *local keys*: the box's bound named variables with
+their resolved values, in which the box's variables and the new ones are
+renamed by first appearance and every older variable keeps its identity,
+as the older bindings in the full key pin it.  A local key costs what
+the box's values cost, so a merge does not slow down with the chain
+upstream of the box.  When some branch binds any other variable, such as
+an upstream ``$r`` or an environment file's ``$w`` (a forking connection
+does), every branch gets the full key.
 """
 
 from __future__ import annotations
@@ -273,34 +276,13 @@ def branch_snapshot(store: BindingStore) -> tuple:
     return _snapshot(store, _observable_vars(store))
 
 
-def _box_key(decl: BoxDeclaration, base: BindingStore, branches: list[Branch]):
-    """The key on which :func:`evaluate_box` merges ``branches``, all of
-    which extend ``base``: the local key, unless some branch bound a
-    variable that is neither the box's nor new, when every branch gets
-    the full key."""
-    own = decl.variables
-
-    def local(v: Var) -> bool:
-        return v in own or base.newer(v)
-
-    if not all(local(v) for br in branches for v in br.store.since(base)):
-        return branch_snapshot
-
-    def local_snapshot(store: BindingStore) -> tuple:
-        rvars = [v for v in own if not v.anonymous and store.is_bound(v)]
-        return _snapshot(store, rvars, lambda v: not local(v))
-
-    return local_snapshot
-
-
 def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) -> Evaluation:
     """Evaluate every clause, in order, against the input associations.
 
     Clause effects accumulate per branch; a clause whose condition fails
     leaves the branch unchanged, and a clause whose assertions cannot
-    hold discards it.  After each clause, branches that agree on every
-    named variable are merged, on the local key when it applies (see the
-    module docstring).
+    hold discards it.  After each clause, branches that say the same are
+    merged.
     """
     store = inputs if inputs is not None else BindingStore()
     frozen = frozenset(decl.input_vars)
@@ -326,7 +308,7 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
                 nxt.append(Branch(s, br.fired + (idx,)))
         if not fired_somewhere:
             diagnostics.append(Diagnostic("note", f"{label}: condition not satisfied", clause.pos))
-        branches = nxt if len(nxt) < 2 else merge_branches(nxt, _box_key(decl, store, nxt))
+        branches = merge_branches([(store, nxt)], decl.variables)
 
     if not branches:
         diagnostics.append(Diagnostic(
@@ -334,21 +316,34 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
     return Evaluation(branches, diagnostics)
 
 
-def merge_branches(branches: list, key=branch_snapshot) -> list:
-    """Drop branches whose stores have the same ``key`` as an earlier one's.
+def merge_branches(groups: list[tuple[BindingStore, list]], own: dict[Var, None]) -> list:
+    """Drop every branch that says the same as an earlier one, in order.
 
-    Serves box branches and network branches alike: both carry a
-    ``store``.  A network merges on the full key, :func:`branch_snapshot`.
-    Order is preserved.
+    ``groups`` pairs a base store with the branches, a box's or a
+    network's, that extend it.  The key is the group with the local key
+    over ``own``, or else the full key (see the module docstring).
     """
-    if len(branches) < 2:
-        return branches
+    if sum(len(branches) for _, branches in groups) < 2:
+        return [br for _, branches in groups for br in branches]
+
+    def local(base: BindingStore, v: Var) -> bool:
+        return v in own or base.newer(v)
+
+    if all(local(base, v) for base, branches in groups
+           for br in branches for v in br.store.since(base)):
+        def key(i: int, base: BindingStore, store: BindingStore) -> tuple:
+            rvars = [v for v in own if not v.anonymous and store.is_bound(v)]
+            return i, _snapshot(store, rvars, lambda v: not local(base, v))
+    else:
+        def key(i: int, base: BindingStore, store: BindingStore) -> tuple:
+            return branch_snapshot(store)
+
     seen = set()
     out = []
-    for br in branches:
-        k = key(br.store)
-        if k in seen:
-            continue
-        seen.add(k)
-        out.append(br)
+    for i, (base, branches) in enumerate(groups):
+        for br in branches:
+            k = key(i, base, br.store)
+            if k not in seen:
+                seen.add(k)
+                out.append(br)
     return out

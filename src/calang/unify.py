@@ -48,6 +48,7 @@ from .terms import (
     Term,
     Tup,
     Var,
+    check_set_wellformed,
     classify,
     iter_vars,
     map_vars,
@@ -147,14 +148,15 @@ def _bind(store: BindingStore, var: Var, term: Term,
 
 
 def set_violation(r: Term, store: BindingStore) -> Optional[str]:
-    """Well-formedness of a set already resolved under ``store``: its
-    elements must be individuals, and a union variable still in it must
-    be unbound (resolution leaves one bound to an individual in place)."""
+    """Well-formedness of a set already resolved under ``store``: it must
+    pass :func:`check_set_wellformed`, and a union variable still in it
+    must be unbound (resolution leaves one bound to an individual in
+    place)."""
     if not isinstance(r, SetTerm):
         return None
-    for e in r.elements:
-        if classify(e) == SET:
-            return f"set member is itself a set: {term_text(e)}"
+    violation = check_set_wellformed(r)
+    if violation:
+        return violation
     for v in r.union_vars:
         if store.binding(v) is not None:
             return f"union variable {v.name} is bound to an individual"

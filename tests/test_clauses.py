@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from calang import aggregate, syntax
+from calang import aggregate, clauses, syntax
 from calang.aggregate import instance_input_store
 from calang.clauses import (
     Branch,
     Clause,
     Predicate,
     SemanticError,
-    _box_key,
     branch_snapshot,
     evaluate_box,
     evaluate_condition,
@@ -348,8 +347,57 @@ def merge_is_exact(decl, store):
     return all(v in decl.variables or store.newer(v) for s in stores for v in s.since(store))
 
 
+def recorded_merges(monkeypatch, tmp_path, cal, expr, env=""):
+    """Aggregate as :func:`box_evaluations` does; return, for the merges of
+    box branches and of network branches, each call's branches and result."""
+    merges = {"box": [], "network": []}
+
+    def recorder(level):
+        def record(groups, own):
+            out = merge_branches(groups, own)
+            merges[level].append(([br for _, branches in groups for br in branches], out))
+            return out
+        return record
+
+    monkeypatch.setattr(clauses, "merge_branches", recorder("box"))
+    monkeypatch.setattr(aggregate, "merge_branches", recorder("network"))
+    box_evaluations(monkeypatch, tmp_path, cal, expr, env)
+    return merges
+
+
+def keeps_the_distinct_full_keys(branches, out):
+    """Whether a merge kept the first branch of each distinct full key, in
+    order."""
+    first = {}
+    for br in branches:
+        first.setdefault(branch_snapshot(br.store), br)
+    return [id(br) for br in out] == [id(br) for br in first.values()]
+
+
 RELAY = "box {} ((x) -> (y)): $x :=: {{value($v)}} \\/ $_ => $y :=: {{value($v), Type(int)}};\n"
 REMAINDER = "box {} ((x) -> (y)): $x :=: {{value($v)}} \\/ $r => $y :=: {{value($v)}} \\/ $r;\n"
+SPLIT_AB = "box A ((x) -> (y)): => {a} \\/ $r :=: {a, b} \\/ $s, $y :=: {a} \\/ $r;\n"
+SPLIT_A = "box A ((x) -> (y)): => {a} \\/ $r :=: {a} \\/ $s, $y :=: {a} \\/ $r;\n"
+# Boxes A .. B whose network-level merge drops branches, each with the
+# branch count of A .. B; without that merge the counts are 12, 6 and 9.
+NETWORK_MERGES = {
+    "pass-ab": (SPLIT_AB + "box B ((x) -> (y)): $x :=: {a, b} => $y :=: $x;\n", 8),
+    "pass-a": (SPLIT_A + "box B ((x) -> (y)): $x :=: {a} => $y :=: $x;\n", 4),
+    "take-rest": (SPLIT_A + "box B ((x) -> (y)): $x :=: {a} \\/ $q => $y :=: $q;\n", 7),
+}
+# Networks for recorded_merges: a .cal text, a network and an env file.
+NETWORKS = {
+    **{name: (cal, "A .. B", "") for name, (cal, _) in NETWORK_MERGES.items()},
+    "relay": ("".join(RELAY.format(f"R{i}") for i in range(3)), "R0 .. R1 .. R2",
+              "R0.$x = {value(7), Type(int), tag(1)}\n"),
+    "remainder": ("".join(REMAINDER.format(f"R{i}") for i in range(2)), "R0 .. R1",
+                  "R0.$x = {value(7), Type(int), tag(1)}\n"),
+    "upstream-r": ("box A ((x) -> (y)): => $y :=: {a} \\/ $r;\n"
+                   "box B ((x) -> (y)): $x :=: {a} \\/ $q => $y :=: $q;\n", "A .. B", ""),
+    "shared-w": ("box B ((x) -> (y)): $x :=: {a} \\/ $r => $y :=: $r;\n"
+                 "box C ((x) -> (y)): => $y :=: $x;\n", "B | C",
+                 "B.$x = {a, b} \\/ $w\nC.$x = {c} \\/ $w\n"),
+}
 
 
 class TestBranchMergeKey:
@@ -377,9 +425,11 @@ class TestBranchMergeKey:
         g, fresh = base.fresh_union_var()
         branches = [Branch(base.bind(y, SetTerm([Sym("a")], [r])), (0,)),
                     Branch(fresh.bind(y, SetTerm([Sym("a")], [g])), (0,))]
-        key = _box_key(box, base, branches)
-        assert key is not branch_snapshot
-        assert merge_branches(branches, key) == merge_branches(branches) == branches
+        # Both branches bind only $y: the local key applies.
+        assert all(v in box.variables or base.newer(v)
+                   for br in branches for v in br.store.since(base))
+        assert merge_branches([(base, branches)], box.variables) == branches
+        assert len({branch_snapshot(br.store) for br in branches}) == 2
 
     @pytest.mark.parametrize("box, boxes, branches", [(RELAY, 3, 1), (REMAINDER, 2, 4)],
                              ids=["relay", "remainder"])
@@ -395,21 +445,30 @@ class TestBranchMergeKey:
     def test_binding_an_upstream_variable_falls_back_to_the_full_key(self, monkeypatch, tmp_path):
         # B binds A's $r in some branches; branches 1 and 3 then print the
         # same tables, and differ only in whether $r was bound.
-        ev, calls = box_evaluations(
-            monkeypatch, tmp_path, "box A ((x) -> (y)): => $y :=: {a} \\/ $r;\n"
-            "box B ((x) -> (y)): $x :=: {a} \\/ $q => $y :=: $q;\n", "A .. B")
+        ev, calls = box_evaluations(monkeypatch, tmp_path, *NETWORKS["upstream-r"])
         assert len(ev.branches) == 3
         (b, store) = calls[1]
         assert not merge_is_exact(b, store)
 
     def test_binding_an_env_file_variable_falls_back_to_the_full_key(self, monkeypatch, tmp_path):
         # The boxes of test_env_variable_shared_by_two_boxes_keeps_branches_apart.
-        ev, calls = box_evaluations(
-            monkeypatch, tmp_path, "box B ((x) -> (y)): $x :=: {a} \\/ $r => $y :=: $r;\n"
-            "box C ((x) -> (y)): => $y :=: $x;\n", "B | C", "B.$x = {a, b} \\/ $w\n"
-            "C.$x = {c} \\/ $w\n")
+        ev, calls = box_evaluations(monkeypatch, tmp_path, *NETWORKS["shared-w"])
         assert len(ev.branches) == 3
         assert not merge_is_exact(*calls[0])
+
+    @pytest.mark.parametrize("name", NETWORK_MERGES)
+    def test_network_merges_the_branches_of_one_parent(self, monkeypatch, tmp_path, name):
+        # B binds A's $r, so B's branches of two different A branches can
+        # say the same; the network-level merge keeps one of them.
+        cal, merged = NETWORK_MERGES[name]
+        ev, _ = box_evaluations(monkeypatch, tmp_path, cal, "A .. B")
+        assert len(ev.branches) == merged
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_every_merge_keeps_the_distinct_full_keys(self, monkeypatch, tmp_path, name):
+        merges = recorded_merges(monkeypatch, tmp_path, *NETWORKS[name])
+        assert merges["network"]
+        assert all(keeps_the_distinct_full_keys(*m) for m in merges["box"] + merges["network"])
 
 
 class TestFreshVariableAccounting:

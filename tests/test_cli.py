@@ -113,6 +113,18 @@ class TestEval:
         assert "status: ok" in out
         assert "  fired clauses = 1\n  $y = 1\n" in out
 
+    def test_set_that_check_calls_ill_formed_does_not_hold(self, capsys, tmp_path):
+        f = tmp_path / "y.cal"
+        f.write_text("box Y (() -> (y)): => $y :=: {f({a, {b}})};\n")
+        _, out = run(capsys, "check", str(f))
+        assert "ill-formed set (set member is itself a set: {b})" in out
+        code, out = run(capsys, "eval", str(f), "Y")
+        assert code == 0
+        assert "status: warnings" in out
+        assert "clause 1: assertion cannot hold: $y :=: {f({a, {b}})}" in out
+        assert "box Y: no consistent evaluation branch" in out
+        assert "$y =" not in out
+
     def test_semantic_error_is_reported(self, capsys, duplicate_field_cal):
         code, out = run(capsys, "eval", str(duplicate_field_cal), "X")
         assert code == 1
