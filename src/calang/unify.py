@@ -23,9 +23,11 @@ witness choices element by element, then each union variable's extras in
 turn.  A choice whose pair does not unify, or whose union variable cannot
 bind, is dropped with everything that extends it; a complete candidate is
 kept when both operands resolve to the same set.  Duplicates and strictly
-less general solutions are filtered at the end.  The enumeration is
-exponential in the set sizes, which is the intended trade: property sets
-are a handful of members.
+less general solutions are filtered at the end.  The instance check there
+runs its matcher only when the specific solution keeps every ground part
+of the general one: no substitution changes a ground part, so the test
+rejects no instance.  The enumeration is exponential in the set sizes,
+which is the intended trade: property sets are a handful of members.
 
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
@@ -540,7 +542,8 @@ def _rename_apart(terms: list[Term]) -> list[Term]:
     return [map_vars(t, rename) for t in terms]
 
 
-def is_instance_of(specific: list[Term], general: list[Term]) -> bool:
+def is_instance_of(specific: list[Term], general: list[Term],
+                   renamed: Optional[list[Term]] = None) -> bool:
     """True when the specific value vector is obtainable from the general
     one by substituting for its free variables.
 
@@ -549,11 +552,28 @@ def is_instance_of(specific: list[Term], general: list[Term]) -> bool:
     specific set, including elements that the general side's own
     elements already cover: ``[{b} \\/ H, {a, b} \\/ H]`` is an instance
     of ``[{b} \\/ G, {a} \\/ G]`` by ``G := {b} \\/ H``.
+    ``renamed``, if given, is ``_rename_apart(specific)``, computed once.
     """
     if all(g.ground for g in general):
         return list(specific) == list(general)
-    specific = _rename_apart(specific)
-    return next(_match_all(general, specific, BindingStore()), None) is not None
+    if not all(map(_keeps_ground_parts, specific, general)):
+        return False
+    renamed = _rename_apart(specific) if renamed is None else renamed
+    return next(_match_all(general, renamed, BindingStore()), None) is not None
+
+
+def _keeps_ground_parts(specific: Term, general: Term) -> bool:
+    """A necessary condition for the matcher, which no substitution can
+    change: every ground part of ``general`` survives in ``specific``."""
+    if general.ground:
+        return general == specific
+    if isinstance(general, SetTerm):
+        return isinstance(specific, Var) or (isinstance(specific, SetTerm) and all(
+            e in specific._key[0] for e in general.elements if e.ground))
+    if isinstance(general, Tup):
+        return (isinstance(specific, Tup) and len(specific.members) == len(general.members)
+                and all(map(_keeps_ground_parts, specific.members, general.members)))
+    return True
 
 
 def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
@@ -568,6 +588,7 @@ def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
 
     values = list(firsts)
     has_free = [not all(v.ground for v in vals) for vals in values]
+    renamed = [_rename_apart(vals) if free else vals for vals, free in zip(values, has_free)]
     drop: set[int] = set()
     for i in range(len(kept)):
         if i in drop or not has_free[i]:
@@ -575,8 +596,8 @@ def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
         for j in range(len(kept)):
             if i == j or j in drop:
                 continue
-            if is_instance_of(values[j], values[i]):
-                if is_instance_of(values[i], values[j]) and i > j:
+            if is_instance_of(values[j], values[i], renamed[j]):
+                if is_instance_of(values[i], values[j], renamed[i]) and i > j:
                     continue  # mutual: keep the earlier one
                 drop.add(j)
     return [s for k, s in enumerate(kept) if k not in drop]

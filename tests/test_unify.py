@@ -36,7 +36,10 @@ from calang.unify import (
     solution_snapshot,
     unify,
     unify_sets,
+    _keeps_ground_parts,
+    _match_all,
     _relevant_vars,
+    _rename_apart,
 )
 
 a, b, c = Sym("a"), Sym("b"), Sym("c")
@@ -484,3 +487,74 @@ def test_small_pairs_sound_complete_minimal_and_order_independent():
         assert len(rev) == len(sols), text
         assert ({solution_snapshot(s, rvars) for s in rev}
                 == {solution_snapshot(s, rvars) for s in sols}), text
+
+
+# ---------------------------------------------------------------------------
+# The ladder rung k=2 and the ground-part prefilter of is_instance_of
+# ---------------------------------------------------------------------------
+
+def ladder(k):
+    """The rung ``{$x1..$xk} \\/ $v ~ {s1..sk} \\/ $w`` of the set-equation
+    ladder: k element variables against the first k of a, b and c, with a
+    distinct union variable on each side."""
+    xs = [lv(f"x{i + 1}", 10 + i) for i in range(k)]
+    return SetTerm(xs, [v]), SetTerm([a, b, c][:k], [w])
+
+
+def test_ladder_rung_2_is_minimal_and_order_independent():
+    t1, t2 = ladder(2)
+    rvars = _relevant_vars([t1, t2], BindingStore())
+    fwd, rev = unify_sets(t1, t2, BindingStore()), unify_sets(t2, t1, BindingStore())
+    assert len(fwd) == len(rev) == 35
+    assert ({solution_snapshot(s, rvars) for s in fwd}
+            == {solution_snapshot(s, rvars) for s in rev})
+    for sols in (fwd, rev):
+        vecs = [[resolve(r, s) for r in rvars] for s in sols]
+        for i, j in itertools.permutations(range(len(vecs)), 2):
+            assert not is_instance_of(vecs[j], vecs[i]), f"solution {j} is an instance of {i}"
+
+
+def distinct_union_pairs():
+    """Pairs whose sides have the distinct union variables $v and $w, or
+    none, with at most three members in all (the answer gate's
+    ``distinct-union`` corpus)."""
+    sides = [elems for k in range(3)
+             for elems in itertools.combinations([a, b, x, y, Tup((a, x))], k)]
+    return [(SetTerm(e1, u1), SetTerm(e2, u2))
+            for e1, e2 in itertools.product(sides, repeat=2) if len(e1) + len(e2) <= 3
+            for u1 in ([], [v]) for u2 in ([], [w])]
+
+
+def prefilter_sources():
+    from test_acceptance import pair_universe
+
+    shared = pair_universe()
+    rungs = [ladder(1), ladder(2)]
+    return {
+        "criterion-2": [(t1, t2) for t1 in shared for t2 in shared],
+        "distinct-union": distinct_union_pairs(),
+        "ladder": rungs + [(t2, t1) for t1, t2 in rungs],
+    }
+
+
+@pytest.mark.parametrize("source", ["criterion-2", "distinct-union", "ladder"])
+def test_ground_part_prefilter_passes_every_pair_with_a_witness(source):
+    # The prefilter is only a necessary condition: on the unfiltered
+    # solutions, every ordered pair in which the bare matcher finds a
+    # witness must pass it.  Pairs that pass are left to the matcher
+    # anyway, so only the rejected ones need the matcher here.
+    rejected = passed = 0
+    for t1, t2 in prefilter_sources()[source]:
+        rvars = _relevant_vars([t1, t2], BindingStore())
+        vecs = list(dict.fromkeys(solution_snapshot(s, rvars)
+                                  for s in unify_sets(t1, t2, BindingStore(), _filter=False)))
+        for specific, general in itertools.permutations(vecs, 2):
+            if all(map(_keeps_ground_parts, specific, general)):
+                passed += 1
+                continue
+            rejected += 1
+            witness = next(_match_all(general, _rename_apart(specific), BindingStore()), None)
+            assert witness is None, (
+                f"{term_text(t1)} ~ {term_text(t2)}: prefilter rejects "
+                f"{[term_text(t) for t in specific]} against {[term_text(t) for t in general]}")
+    assert rejected and passed

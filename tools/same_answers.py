@@ -14,6 +14,9 @@ hash per corpus:
   order returned;
 * ``distinct-union``: the same dump over pairs whose sides have distinct
   union variables ``$v`` and ``$w``;
+* ``ladder``: the same dump over the rungs k=1 and k=2 of the
+  ``set-equations`` ladder, ``{$x1..$xk} \\/ $v ~ {s1..sk} \\/ $w``, in
+  both operand orders;
 * ``reports``: the exit code, standard output and standard error of every
   ``check``, ``eval``, ``horn`` and ``aggregate`` report, in text and in
   JSON, on ``tests/fixtures`` (``check`` and ``horn`` also on all its
@@ -152,14 +155,20 @@ def _universes():
     distinct = [(SetTerm(e1, u1), SetTerm(e2, u2))
                 for e1 in sides for e2 in sides if len(e1) + len(e2) <= 3
                 for u1 in ([], [v]) for u2 in ([], [w])]
-    return shared, distinct
+
+    # The ladder rungs k=1 and k=2 of the set-equations workload.
+    rungs = [(SetTerm([Var(("u", 200 + i), f"x{i + 1}", LOCAL) for i in range(k)], [v]),
+              SetTerm([a, b][:k], [w])) for k in (1, 2)]
+    ladder = rungs + [(t2, t1) for t1, t2 in rungs]
+    return shared, distinct, ladder
 
 
 def child(commands_file: str) -> None:
     from calang import cli
 
-    shared, distinct = _universes()
-    for name, pairs in (("criterion-2", shared), ("distinct-union", distinct)):
+    shared, distinct, ladder = _universes()
+    for name, pairs in (("criterion-2", shared), ("distinct-union", distinct),
+                        ("ladder", ladder)):
         digest = hashlib.sha256()
         solutions = _solution_dump(name, pairs, digest)
         print(f"{name}: {len(pairs)} pairs, {solutions} solutions, {digest.hexdigest()}",
