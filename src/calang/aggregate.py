@@ -21,9 +21,11 @@ Each box occurrence in a network becomes an *instance* with its own copy
 of the declaration's variables, so a box used twice keeps its activations
 apart, mirroring how environment variables are provided per box.
 
-Network expressions are parsed by :mod:`calang.syntax`.  A chain
-``A .. B .. C`` is one :class:`Serial` whose stages are walked in a loop;
-walks recurse only into parentheses, whose nesting the parser bounds.
+Network expressions are parsed by :mod:`calang.syntax` into a tree whose
+leaves are the instances; :func:`leaves` walks it for all of them or for
+those at the network's input or output end.  A chain ``A .. B .. C`` is
+one :class:`Serial` whose stages are walked in a loop, so walks recurse
+only into parentheses, whose nesting the parser bounds.
 """
 
 from __future__ import annotations
@@ -86,11 +88,6 @@ class Instance:
 
 
 @dataclass
-class BoxRef:
-    instance: Instance
-
-
-@dataclass
 class Serial:
     stages: list["NetExpr"]
     # comms[i] overrides the cost of the edge stages[i]..stages[i+1] unless None
@@ -102,7 +99,19 @@ class Parallel:
     branches: list["NetExpr"]
 
 
-NetExpr = Union[BoxRef, Serial, Parallel]
+NetExpr = Union[Instance, Serial, Parallel]
+
+
+def leaves(expr: NetExpr, end: Optional[int] = None) -> list[Instance]:
+    """The instances of ``expr``, left to right.  With ``end`` 0 or -1, only
+    those at its input or output end: of a chain, its first or last stage's."""
+    if isinstance(expr, Instance):
+        return [expr]
+    if isinstance(expr, Parallel):
+        parts = expr.branches
+    else:
+        parts = expr.stages if end is None else [expr.stages[end]]
+    return [inst for part in parts for inst in leaves(part, end)]
 
 
 @dataclass
@@ -111,17 +120,7 @@ class Network:
     expr: NetExpr
 
     def instances(self) -> list[Instance]:
-        out: list[Instance] = []
-
-        def walk(e: NetExpr):
-            if isinstance(e, BoxRef):
-                out.append(e.instance)
-            else:
-                for part in e.stages if isinstance(e, Serial) else e.branches:
-                    walk(part)
-
-        walk(self.expr)
-        return out
+        return leaves(self.expr)
 
 
 def clone_declaration(decl: BoxDeclaration, supply: VarSupply) -> BoxDeclaration:
@@ -144,24 +143,6 @@ def clone_declaration(decl: BoxDeclaration, supply: VarSupply) -> BoxDeclaration
     env_vars = {name: rn_var(v) for name, v in decl.env_vars.items()}
     return BoxDeclaration(decl.name, decl.inputs, decl.outputs, clauses,
                           object_vars, env_vars, decl.pos, supply)
-
-
-# -- boundary helpers --------------------------------------------------------
-
-def input_ends(expr: NetExpr) -> list[Instance]:
-    if isinstance(expr, BoxRef):
-        return [expr.instance]
-    if isinstance(expr, Serial):
-        return input_ends(expr.stages[0])
-    return [i for b in expr.branches for i in input_ends(b)]
-
-
-def output_ends(expr: NetExpr) -> list[Instance]:
-    if isinstance(expr, BoxRef):
-        return [expr.instance]
-    if isinstance(expr, Serial):
-        return output_ends(expr.stages[-1])
-    return [i for b in expr.branches for i in output_ends(b)]
 
 
 # The output tuple type a serial edge taps on the upstream box.
@@ -188,12 +169,12 @@ def build_connections(net: Network) -> list[Connection]:
             walk(e.stages[0])
             for left, right in zip(e.stages, e.stages[1:]):
                 walk(right)
-                for up in output_ends(left):
+                for up in leaves(left, -1):
                     if not up.decl.outputs:
                         raise NetworkError(
                             f"box {up.name} has no output tuple type to connect")
                     up_fields = up.decl.outputs[CONNECT_CHANNEL]
-                    for down in input_ends(right):
+                    for down in leaves(right, 0):
                         down_fields = down.decl.inputs
                         if len(up_fields) != len(down_fields):
                             raise NetworkError(
@@ -375,8 +356,8 @@ def _parallel_rule(models: list[Costs]) -> Costs:
 
 def aggregate_extrafunctional(expr: NetExpr, store: BindingStore) -> Costs:
     """Fold the combinator tree into the network's costs."""
-    if isinstance(expr, BoxRef):
-        return box_latency_model(expr.instance, store)
+    if isinstance(expr, Instance):
+        return box_latency_model(expr, store)
     if isinstance(expr, Serial):
         # Folding from the left gives a chain the latency shape of
         # ((A .. B) .. C): T_A + (comm + T_B), then + (comm + T_C).
@@ -384,7 +365,7 @@ def aggregate_extrafunctional(expr: NetExpr, store: BindingStore) -> Costs:
         for comm, stage in zip(expr.comms, expr.stages[1:]):
             right = aggregate_extrafunctional(stage, store)
             model = _serial_rule(model, right, COMM_COST if comm is None else comm,
-                                 fan_out=len(input_ends(stage)) > 1)
+                                 fan_out=len(leaves(stage, 0)) > 1)
         return model
     models = [aggregate_extrafunctional(b, store) for b in expr.branches]
     return _parallel_rule(models)
@@ -531,20 +512,14 @@ def _network_expr(e: syntax.NetSurface, library: dict[str, BoxDeclaration],
             k += 1
         counts[e.name] = k
         name = e.name if k == 1 else f"{e.name}_{k}"
-        return BoxRef(Instance(name, clone_declaration(decl, supply)))
+        return Instance(name, clone_declaration(decl, supply))
     if isinstance(e, syntax.NetSerial):
         return Serial([_network_expr(s, library, supply, counts) for s in e.stages],
                       [None if c is None else desugar(c) for c in e.comms])
     return Parallel([_network_expr(b, library, supply, counts) for b in e.branches])
 
 
-@dataclass
-class NetworkFile:
-    networks: list[Network]
-    library: dict[str, BoxDeclaration]
-
-
-def parse_network_file(text: str, base_dir: Path = Path(".")) -> NetworkFile:
+def parse_network_file(text: str, base_dir: Path = Path(".")) -> list[Network]:
     """Line-oriented network description: ``use <file.cal>`` loads box
     declarations, ``net <name> = <boxexpr>`` defines a network."""
     supply = VarSupply("i")
@@ -566,7 +541,7 @@ def parse_network_file(text: str, base_dir: Path = Path(".")) -> NetworkFile:
             networks.append(Network(name, _network_expr(expr, library, supply, {})))
             continue
         raise NetworkError(f"line {ln}: expected 'use <file.cal>' or 'net <name> = <boxexpr>'")
-    return NetworkFile(networks, library)
+    return networks
 
 
 EnvSpec = dict[tuple[Optional[str], str], Term]

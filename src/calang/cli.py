@@ -154,10 +154,10 @@ def cmd_horn(args) -> int:
 
 
 def cmd_aggregate(args) -> int:
-    netfile = agg.parse_network_file(agg.read_input(args.net), base_dir=Path(args.net).parent)
+    networks = agg.parse_network_file(agg.read_input(args.net), base_dir=Path(args.net).parent)
     env = agg.parse_env_file(agg.read_input(args.env)) if args.env else {}
     report = Report()
-    for net in netfile.networks:
+    for net in networks:
         try:
             store = agg.network_input_store(net, env)
             ev = agg.aggregate_functional(net, store)

@@ -554,8 +554,6 @@ def is_instance_of(specific: list[Term], general: list[Term],
     of ``[{b} \\/ G, {a} \\/ G]`` by ``G := {b} \\/ H``.
     ``renamed``, if given, is ``_rename_apart(specific)``, computed once.
     """
-    if all(g.ground for g in general):
-        return list(specific) == list(general)
     if not all(map(_keeps_ground_parts, specific, general)):
         return False
     renamed = _rename_apart(specific) if renamed is None else renamed

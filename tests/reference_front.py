@@ -5,7 +5,8 @@ one method per precedence level.  ``test_front_oracle`` compares
 
 The network-expression parser at the end is the one :mod:`calang.aggregate`
 had before network expressions went through :mod:`calang.syntax`: its own
-lexer, and binary ``Serial`` nodes walked recursively.
+lexer, a ``BoxRef`` leaf around each instance, and binary ``Serial`` nodes
+walked recursively.
 
 One deliberate difference from that front end: a number is a run of
 decimal digits (``str.isdecimal``, what ``int()`` accepts).  The old
@@ -23,7 +24,6 @@ from typing import Optional, Union
 from calang.aggregate import (
     CONNECT_CHANNEL,
     COMM_COST,
-    BoxRef,
     Instance,
     NetworkError,
     Parallel,
@@ -470,6 +470,11 @@ def parse_term(source: str) -> SurfaceTerm:
 # ---------------------------------------------------------------------------
 # Network expressions
 # ---------------------------------------------------------------------------
+
+@dataclass
+class BoxRef:
+    instance: Instance
+
 
 @dataclass
 class Serial:

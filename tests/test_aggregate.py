@@ -15,7 +15,6 @@ import pytest
 from calang import syntax
 from calang.aggregate import (
     COMM_COST,
-    BoxRef,
     Instance,
     Network,
     NetworkError,
@@ -28,6 +27,7 @@ from calang.aggregate import (
     check_declaration,
     check_vocabulary,
     clone_declaration,
+    leaves,
     multiply_counts,
     network_input_store,
     parse_env_file,
@@ -72,7 +72,7 @@ def make_net(*sources, expr=None):
 
 def serial_net(name="main"):
     insts, _ = make_net(A_SRC, B_SRC)
-    return Network(name, Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None])), insts
+    return Network(name, Serial([insts["A"], insts["B"]], [None])), insts
 
 
 class TestConnections:
@@ -88,7 +88,7 @@ class TestConnections:
         insts, _ = make_net(
             "box A ((x) -> (y,z)):",
             "box B ((p,r) -> (q)):")
-        net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
+        net = Network("m", Serial([insts["A"], insts["B"]], [None]))
         (conn,) = build_connections(net)
         names = [(u.name, d.name) for u, d in conn.pairs]
         assert names == [("y", "p"), ("z", "r")]
@@ -97,10 +97,29 @@ class TestConnections:
         insts, _ = make_net(
             "box A ((x) -> (y)):",
             "box B ((p,r) -> (q)):")
-        net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
+        net = Network("m", Serial([insts["A"], insts["B"]], [None]))
         with pytest.raises(NetworkError) as e:
             build_connections(net)
         assert "A" in str(e.value) and "B" in str(e.value)
+
+    def test_leaves_and_ends(self, tmp_path):
+        (tmp_path / "lib.cal").write_text(
+            "".join(f"box {b} ((x) -> (y)):\n" for b in "ABCDEF"))
+        (net,) = parse_network_file("use lib.cal\nnet m = A .. (B | C .. D) .. (E | F)\n",
+                                    base_dir=tmp_path)
+
+        def names(insts):
+            return "".join(i.name for i in insts)
+
+        middle = net.expr.stages[1]
+        assert names(leaves(net.expr)) == names(net.instances()) == "ABCDEF"
+        assert names(leaves(net.expr, 0)) == "A"
+        assert names(leaves(net.expr, -1)) == "EF"
+        assert names(leaves(middle)) == "BCD"
+        assert names(leaves(middle, 0)) == "BC"
+        assert names(leaves(middle, -1)) == "BD"
+        assert [c.upstream.name + c.downstream.name for c in build_connections(net)] == \
+            ["CD", "AB", "AC", "BE", "BF", "DE", "DF"]
 
 
 class TestFunctionalAggregation:
@@ -119,7 +138,7 @@ class TestFunctionalAggregation:
         insts, _ = make_net(
             "box A ((x) -> (y)):\n  $x :=: {value($n)} \\/ $_ => $$T0 :=: 1;",
             B_SRC)
-        net = Network("m", Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]))
+        net = Network("m", Serial([insts["A"], insts["B"]], [None]))
         env = {("A", "$x"): term("{value(3)}")}
         ev = aggregate_functional(net, network_input_store(net, env))
         (br,) = ev.branches
@@ -131,7 +150,7 @@ class TestFunctionalAggregation:
         from calang.clauses import evaluate_box
 
         insts, _ = make_net(A_SRC)
-        net = Network("m", BoxRef(insts["A"]))
+        net = Network("m", insts["A"])
         env = {("A", "$x"): term("{value(3)}")}
         ev = aggregate_functional(net, network_input_store(net, env))
         (br,) = ev.branches
@@ -203,12 +222,9 @@ class TestExtrafunctional:
 
     def test_serial_associativity_modulo_plus(self):
         insts, _ = make_net(A_SRC, B_SRC, "box C ((r) -> (s)): => $$T0 :=: 5;")
-        left_assoc = Serial([Serial([BoxRef(insts["A"]), BoxRef(insts["B"])], [None]),
-                             BoxRef(insts["C"])], [None])
+        left_assoc = Serial([Serial([insts["A"], insts["B"]], [None]), insts["C"]], [None])
         insts2, _ = make_net(A_SRC, B_SRC, "box C ((r) -> (s)): => $$T0 :=: 5;")
-        right_assoc = Serial([BoxRef(insts2["A"]),
-                              Serial([BoxRef(insts2["B"]), BoxRef(insts2["C"])], [None])],
-                             [None])
+        right_assoc = Serial([insts2["A"], Serial([insts2["B"], insts2["C"]], [None])], [None])
 
         def t_of(expr, insts_map):
             net = Network("m", expr)
@@ -273,32 +289,29 @@ class TestVocabulary:
 
 class TestNetworkFiles:
     def test_parse_network_file(self, fixtures_dir):
-        nf = parse_network_file((fixtures_dir / "pipeline.net").read_text(),
-                                base_dir=fixtures_dir)
-        assert [n.name for n in nf.networks] == ["main"]
-        (net,) = nf.networks
+        networks = parse_network_file((fixtures_dir / "pipeline.net").read_text(),
+                                      base_dir=fixtures_dir)
+        assert [n.name for n in networks] == ["main"]
+        (net,) = networks
         assert isinstance(net.expr, Serial)
         assert [i.name for i in net.instances()] == ["A", "B"]
 
     def test_repeated_box_instances_distinct(self, fixtures_dir):
-        nf = parse_network_file("use pipeline.cal\nnet m = A .. A\n",
-                                base_dir=fixtures_dir)
-        (net,) = nf.networks
+        (net,) = parse_network_file("use pipeline.cal\nnet m = A .. A\n",
+                                    base_dir=fixtures_dir)
         names = [i.name for i in net.instances()]
         assert names == ["A", "A_2"]
         a1, a2 = net.instances()
         assert a1.decl.object_vars["y"] != a2.decl.object_vars["y"]
 
     def test_parallel_and_parens(self, fixtures_dir):
-        nf = parse_network_file("use pipeline.cal\nnet m = A .. (B | B)\n",
-                                base_dir=fixtures_dir)
-        (net,) = nf.networks
+        (net,) = parse_network_file("use pipeline.cal\nnet m = A .. (B | B)\n",
+                                    base_dir=fixtures_dir)
         assert isinstance(net.expr.stages[-1], Parallel)
 
     def test_edge_cost_override(self, fixtures_dir):
-        nf = parse_network_file("use pipeline.cal\nnet m = A ..[net_hop] B\n",
-                                base_dir=fixtures_dir)
-        (net,) = nf.networks
+        (net,) = parse_network_file("use pipeline.cal\nnet m = A ..[net_hop] B\n",
+                                    base_dir=fixtures_dir)
         assert net.expr.comms == [Sym("net_hop")]
 
     @pytest.mark.parametrize("line, where", [
@@ -343,8 +356,7 @@ class TestNetworkFiles:
         (tmp_path / "lib.cal").write_text(
             "box A ((x) -> (y)): => $y :=: {value(1)}, $$T0 = 1;\n"
             "box A_2 ((x) -> (y)): => $y :=: {value(2)}, $$T0 = 5;\n")
-        nf = parse_network_file("use lib.cal\nnet m = A_2 .. A .. A\n", base_dir=tmp_path)
-        (net,) = nf.networks
+        (net,) = parse_network_file("use lib.cal\nnet m = A_2 .. A .. A\n", base_dir=tmp_path)
         insts = net.instances()
         assert [(i.name, i.decl.name) for i in insts] == [("A_2", "A_2"), ("A", "A"),
                                                           ("A_3", "A")]

@@ -330,7 +330,7 @@ def box_evaluations(monkeypatch, tmp_path, cal, expr, env=""):
 
     monkeypatch.setattr(aggregate, "evaluate_box", record)
     (tmp_path / "lib.cal").write_text(cal)
-    (net,) = aggregate.parse_network_file(f"use lib.cal\nnet m = {expr}\n", tmp_path).networks
+    (net,) = aggregate.parse_network_file(f"use lib.cal\nnet m = {expr}\n", tmp_path)
     store = aggregate.network_input_store(net, aggregate.parse_env_file(env))
     return aggregate.aggregate_functional(net, store), calls
 

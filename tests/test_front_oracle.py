@@ -247,7 +247,7 @@ def _net_summary(instances, connections, costs):
 @given(net_texts())
 def test_networks_agree_with_reference(text):
     (net,) = parse_network_file(f"use relays.cal\nnet m = {text}\n",
-                                base_dir=FIXTURES).networks
+                                base_dir=FIXTURES)
     got = _net_summary(net.instances(),
                        [(c.upstream, c.downstream, c.pairs) for c in build_connections(net)],
                        lambda store: aggregate_extrafunctional(net.expr, store))
