@@ -17,21 +17,25 @@ association cannot acquire one inside a condition.  A condition that
 would need to bind such a variable simply fails, so a box given no input
 information asserts nothing.
 
-Branches that say the same are merged, the first one kept: a box's after
-each clause, a network's after each box instance, by
-:func:`merge_branches`.  What a branch says is its *full key*,
-:func:`branch_snapshot`: every named variable bound in the store, which
-in a network is the whole network's, with its resolved value, unbound
-variables renamed by first appearance.  The branches come in groups, each
-extending one base store: the box's input store, or the store of the
-network branch they grew from.  When every branch binds only the box's
-own variables and variables generated past its base's counter, no older
-binding's resolved value changes, as none holds an unbound variable of
-the box or a new one.  Branches of two groups then differ as their
-bases, already merged, do; two of one group have equal full keys exactly
-when they have equal *local keys*: the box's bound named variables with
-their resolved values, in which the box's variables and the new ones are
-renamed by first appearance and every older variable keeps its identity,
+Branches that say the same are merged, the first one kept, by
+:func:`merge_branches`: a clause's stores after each predicate, a box's
+branches after each clause and a network's after each box instance.
+Merging inside a clause keeps a guard whose ``$_`` can hold several
+values from multiplying the work of the predicates after it; the merge
+after the clause still joins branches that grew from different parents.
+What a branch says is its *full key*, :func:`branch_snapshot`: every
+named variable bound in the store, which in a network is the whole
+network's, with its resolved value, unbound variables renamed by first
+appearance.  The branches come in groups, each extending one base store:
+the clause's or the box's input store, or the store of the network branch
+they grew from.  When every branch binds only the box's own variables and
+variables generated past its base's counter, no older binding's resolved
+value changes, as none holds an unbound variable of the box or a new one.
+Branches of two groups then differ as their bases, already merged, do;
+two of one group have equal full keys exactly when they have equal
+*local keys*: the box's bound named variables with their resolved
+values, in which the box's variables and the new ones are renamed by
+first appearance and every older variable keeps its identity,
 as the older bindings in the full key pin it.  A local key costs what
 the box's values cost, so a merge does not slow down with the chain
 upstream of the box.  When some branch binds any other variable, such as
@@ -190,11 +194,13 @@ class Evaluation:
 
 
 def _walk(preds: Iterable[Predicate], store: BindingStore,
-          frozen: frozenset[Var] = frozenset()) -> tuple[list[BindingStore], list[tuple]]:
+          frozen: frozenset[Var] = frozenset(),
+          merge: Callable[[list], list] = list) -> tuple[list[BindingStore], list[tuple]]:
     """Conjoin ``preds`` over ``store``: the stores under which every
     predicate holds, and a ``(reason, predicate)`` pair for each store a
     predicate discarded, the reason being a :class:`PredicateFailure`,
-    "cannot hold" (no unifier) or "does not hold" (a false relation)."""
+    "cannot hold" (no unifier) or "does not hold" (a false relation).
+    ``merge`` drops the stores that say the same after each predicate."""
     stores = [store]
     failed: list[tuple] = []
     for p in preds:
@@ -215,7 +221,7 @@ def _walk(preds: Iterable[Predicate], store: BindingStore,
                 nxt.append(s2)
             else:
                 failed.append(("does not hold", p))
-        stores = nxt
+        stores = merge(nxt)
         if not stores:
             break
     return stores, failed
@@ -236,21 +242,28 @@ class FireResult:
 
 
 def fire_clause(clause: Clause, store: BindingStore,
-                frozen: frozenset[Var] = frozenset()) -> FireResult:
+                frozen: frozenset[Var] = frozenset(),
+                own: Optional[dict[Var, None]] = None) -> FireResult:
     """Evaluate one clause: check the condition, then apply assertions.
 
     Assertions use the same predicate walk with no binding restrictions;
     a failing assertion discards its branch and is reported, since it
-    marks an inconsistent specification.
+    marks an inconsistent specification.  After each predicate, the
+    stores that say the same are merged, with ``store`` as their base and
+    ``own`` the box's variables (see :func:`merge_branches`).
     """
-    cond_stores = evaluate_condition(clause.conditions, store, frozen)
+    def merge(stores: list[BindingStore]) -> list[BindingStore]:
+        branches = [Branch(s, ()) for s in stores]
+        return [br.store for br in merge_branches([(store, branches)], own or {})]
+
+    cond_stores = _walk(clause.conditions, store, frozen, merge)[0]
     if not cond_stores:
         return FireResult(False, [], [])
 
     result: list[BindingStore] = []
     failures: list[str] = []
     for s in cond_stores:
-        stores, failed = _walk(clause.assertions, s)
+        stores, failed = _walk(clause.assertions, s, merge=merge)
         result.extend(stores)
         failures.extend(f"assertion failed ({reason}): {p}" if isinstance(reason, PredicateFailure)
                         else f"assertion {reason}: {p}" for reason, p in failed)
@@ -281,8 +294,8 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
 
     Clause effects accumulate per branch; a clause whose condition fails
     leaves the branch unchanged, and a clause whose assertions cannot
-    hold discards it.  After each clause, branches that say the same are
-    merged.
+    hold discards it.  Inside a clause, stores that say the same are
+    merged after each predicate; after each clause, so are branches.
     """
     store = inputs if inputs is not None else BindingStore()
     frozen = frozenset(decl.input_vars)
@@ -294,7 +307,7 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
         nxt: list[Branch] = []
         fired_somewhere = False
         for br in branches:
-            fr = fire_clause(clause, br.store, frozen)
+            fr = fire_clause(clause, br.store, frozen, decl.variables)
             for msg in fr.failures:
                 diagnostics.append(Diagnostic("warning", f"{label}: {msg}", clause.pos))
             if not fr.condition_held:

@@ -8,6 +8,7 @@ Output is deterministic: identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -182,6 +183,7 @@ def cmd_aggregate(args) -> int:
     return _emit(report, args)
 
 
+@functools.cache  # built on the first call; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calang",

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from calang import aggregate, clauses, syntax
+from calang import unify as unify_module
 from calang.aggregate import instance_input_store
+from calang.arith import PredicateFailure, eval_relation
 from calang.clauses import (
     Branch,
     Clause,
@@ -335,12 +337,77 @@ def box_evaluations(monkeypatch, tmp_path, cal, expr, env=""):
     return aggregate.aggregate_functional(net, store), calls
 
 
+def reference_conjoin(preds, store, frozen, failures):
+    """The stores under which every predicate holds, every fork kept: each
+    predicate is conjoined with ``unify`` or ``eval_relation`` over every
+    store so far.  Each discarded store appends its message to ``failures``."""
+    stores = [store]
+    for p in preds:
+        nxt = []
+        for s in stores:
+            if p.op == ":=:":
+                got = unify(p.lhs, p.rhs, s, frozen)
+                nxt += got
+                if not got:
+                    failures.append(f"assertion cannot hold: {p}")
+                continue
+            out = eval_relation(p.lhs, p.op, p.rhs, s, frozen)
+            if isinstance(out, PredicateFailure):
+                failures.append(f"assertion failed ({out}): {p}")
+            elif out[0]:
+                nxt.append(out[1])
+            else:
+                failures.append(f"assertion does not hold: {p}")
+        stores = nxt
+    return stores
+
+
+def reference_fire(clause, store, frozen):
+    """A clause fired without merging inside it: whether its condition
+    held, the stores of its assertions and their failure messages."""
+    failures = []
+    cond = reference_conjoin(clause.conditions, store, frozen, [])
+    stores = [out for s in cond for out in reference_conjoin(clause.assertions, s, frozenset(), failures)]
+    return bool(cond), stores, failures
+
+
+def reference_evaluate_box(decl, store):
+    """:func:`evaluate_box` as it stood with one merge only, at the end of
+    each clause: the branches and the diagnostics."""
+    frozen = frozenset(decl.input_vars)
+    branches, diagnostics = [Branch(store, ())], []
+    for idx, clause in enumerate(decl.clauses):
+        nxt, fired = [], False
+        for br in branches:
+            held, stores, failures = reference_fire(clause, br.store, frozen)
+            diagnostics += [f"warning ({clause.pos}): clause {idx + 1}: {m}" for m in failures]
+            fired |= held
+            nxt += [Branch(s, br.fired + (idx,)) for s in stores] if held else [br]
+        if not fired:
+            diagnostics.append(f"note ({clause.pos}): clause {idx + 1}: condition not satisfied")
+        branches = merge_branches([(store, nxt)], decl.variables)
+    if not branches:
+        diagnostics.append(f"warning ({decl.pos}): box {decl.name}: no consistent evaluation branch")
+    return branches, diagnostics
+
+
+def merges_as_the_reference(decl, store):
+    """Assert that :func:`evaluate_box`, which merges after each predicate,
+    gives the reference's branches and, repeats dropped, its diagnostics."""
+    ev = evaluate_box(decl, store)
+    branches, diagnostics = reference_evaluate_box(decl, store)
+    assert [branch_snapshot(br.store) for br in ev.branches] == \
+        [branch_snapshot(br.store) for br in branches]
+    assert [br.fired for br in ev.branches] == [br.fired for br in branches]
+    assert list(dict.fromkeys(map(str, ev.diagnostics))) == list(dict.fromkeys(diagnostics))
+
+
 def merge_is_exact(decl, store):
     """Assert that evaluating a one-clause box keeps the branches with
     distinct full keys, first ones first; return whether each branch bound
     only the box's variables and new ones, so that the local key applied."""
     (clause,) = decl.clauses
-    stores = fire_clause(clause, store, frozenset(decl.input_vars)).stores
+    stores = reference_fire(clause, store, frozenset(decl.input_vars))[1]
     assert len(stores) > 1
     assert [branch_snapshot(br.store) for br in evaluate_box(decl, store).branches] == \
         list(dict.fromkeys(branch_snapshot(s) for s in stores))
@@ -469,6 +536,82 @@ class TestBranchMergeKey:
         merges = recorded_merges(monkeypatch, tmp_path, *NETWORKS[name])
         assert merges["network"]
         assert all(keeps_the_distinct_full_keys(*m) for m in merges["box"] + merges["network"])
+
+
+def guards_inputs(box, fixtures_dir):
+    """The input store that ``guards.env`` gives ``box``."""
+    env = aggregate.parse_env_file((fixtures_dir / "guards.env").read_text())
+    return instance_input_store(box, (box.name,), env)
+
+
+# Boxes of TestEvaluateBox, each with the values of its input fields.
+EVALUATE_BOX_CASES = {
+    "order-ab": ("box b ((x) -> (y,z)):\n  $x > 0 => $y :=: {high};\n  $x > 1 => $z :=: {wide};",
+                 {"x": "5"}),
+    "order-ba": ("box b ((x) -> (y,z)):\n  $x > 1 => $z :=: {wide};\n  $x > 0 => $y :=: {high};",
+                 {"x": "5"}),
+    "anonymous": ("box X ((i) -> (q)): => $q :=: {a} \\/ $_; => $q :=: {a, $z};", {}),
+    "same-say": ("box X ((i) -> (q)): => {a} \\/ $s :=: {a, b} \\/ $t; => $s :=: {a, b};", {}),
+    "two-solutions": ("box b ((x) -> (y)): $x :=: {$e, $f} => $e > 1, $f > 1;", {"x": "{1, 3}"}),
+}
+
+
+class TestMergeAfterEachPredicate:
+    """A clause merges its stores after each predicate that forks them;
+    a box then evaluates as one that merges only after each clause."""
+
+    @pytest.mark.parametrize("k_value", [500, 100, None])
+    def test_mybox(self, mybox_source, k_value):
+        box = parse_box(mybox_source)
+        merges_as_the_reference(box, mybox_inputs(box, k_value) if k_value else BindingStore())
+
+    @pytest.mark.parametrize("name", ["Warn", "Pair", "Pick", "Guarded"])
+    def test_guards_fixture(self, fixtures_dir, name):
+        (box,) = [flatten_provided(d) for d in
+                  syntax.parse_program((fixtures_dir / "guards.cal").read_text())
+                  if d.header.name == name]
+        merges_as_the_reference(box, guards_inputs(box, fixtures_dir))
+
+    @pytest.mark.parametrize("name", EVALUATE_BOX_CASES)
+    def test_evaluate_box_cases(self, name):
+        source, values = EVALUATE_BOX_CASES[name]
+        box = parse_box(source)
+        store = BindingStore()
+        for field_name, value in values.items():
+            store = store.bind(box.object_vars[field_name], term(value))
+        merges_as_the_reference(box, store)
+
+    @pytest.mark.parametrize("name", NETWORKS)
+    def test_network_boxes(self, monkeypatch, tmp_path, name):
+        _, calls = box_evaluations(monkeypatch, tmp_path, *NETWORKS[name])
+        assert calls
+        for decl, store in calls:
+            merges_as_the_reference(decl, store)
+
+    def test_mybox_runs_8_set_unifications(self, monkeypatch, mybox_source):
+        # Each clause's two guards fork 2 and 4 ways; merged at once, the
+        # second guard runs once per clause and not twice.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return unify_sets(*args, **kwargs)
+
+        unify_sets = unify_module.unify_sets
+        box = parse_box(mybox_source)
+        store = mybox_inputs(box, 500)
+        monkeypatch.setattr(unify_module, "unify_sets", counting)
+        evaluate_box(box, store)
+        assert len(calls) == 8
+
+    def test_failing_assertion_behind_a_forking_guard_warns_once(self):
+        # $_ is {b, c} or {a, b, c}: two stores that say the same, so the
+        # failing assertion runs, and warns, once.
+        box = parse_box("box X ((x) -> (y)): $x :=: {a} \\/ $_ => $y = 1, $y = 2;")
+        ev = evaluate_box(box, BindingStore().bind(box.object_vars["x"], term("{a, b, c}")))
+        assert ev.branches == []
+        assert [d.message for d in ev.diagnostics] == [
+            "clause 1: assertion does not hold: $y = 2", "box X: no consistent evaluation branch"]
 
 
 class TestFreshVariableAccounting:

@@ -55,6 +55,22 @@ class TestCheck:
         code, _ = run(capsys, "--strict", "check", str(f))
         assert code == 2
 
+    def test_successive_calls_share_no_options(self, capsys, tmp_path):
+        # One parser serves every call; the options of one call must not
+        # leak into the next.
+        f = tmp_path / "bad.cal"
+        f.write_text("box b ((x) -> (y)): $x :=: {a, {b}} => $y = 1;")
+        target = tmp_path / "report.json"
+        code, out = run(capsys, "--strict", "--format", "json", "--out", str(target),
+                        "check", str(f))
+        assert (code, out) == (2, "")
+        written = target.read_text()
+        assert json.loads(written)["status"] == "warnings"
+        code, out = run(capsys, "check", str(f))
+        assert code == 0
+        assert out.startswith("status: warnings\n")
+        assert target.read_text() == written
+
     def test_unbalanced_parens_exit_1(self, capsys, tmp_path):
         f = tmp_path / "broken.cal"
         f.write_text("box b ((x -> (y)): => $y = 1;")
