@@ -27,8 +27,8 @@ What a branch says is its *full key*, :func:`branch_snapshot`: every
 named variable bound in the store, which in a network is the whole
 network's, with its resolved value, unbound variables renamed by first
 appearance.  The branches come in groups, each extending one base store:
-the clause's or the box's input store, or the store of the network branch
-they grew from.  When every branch binds only the box's own variables and
+the store a predicate walk starts from, the box's input store, or the
+store of the network branch they grew from.  When every branch binds only the box's own variables and
 variables generated past its base's counter, no older binding's resolved
 value changes, as none holds an unbound variable of the box or a new one.
 Branches of two groups then differ as their bases, already merged, do;
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from . import syntax
 from .arith import PredicateFailure, eval_relation
@@ -195,43 +195,46 @@ class Evaluation:
 
 def _walk(preds: Iterable[Predicate], store: BindingStore,
           frozen: frozenset[Var] = frozenset(),
-          merge: Callable[[list], list] = list) -> tuple[list[BindingStore], list[tuple]]:
+          own: Collection[Var] = ()) -> tuple[list[BindingStore], list[tuple]]:
     """Conjoin ``preds`` over ``store``: the stores under which every
     predicate holds, and a ``(reason, predicate)`` pair for each store a
     predicate discarded, the reason being a :class:`PredicateFailure`,
     "cannot hold" (no unifier) or "does not hold" (a false relation).
-    ``merge`` drops the stores that say the same after each predicate."""
-    stores = [store]
+    After each predicate, the stores that say the same are merged, with
+    ``store`` as their base and ``own`` the box's variables (see
+    :func:`merge_branches`)."""
+    branches = [Branch(store, ())]
     failed: list[tuple] = []
     for p in preds:
-        nxt: list[BindingStore] = []
-        for s in stores:
+        nxt: list[Branch] = []
+        for br in branches:
             if p.op == ":=:":
-                got = unify(p.lhs, p.rhs, s, frozen)
+                got = unify(p.lhs, p.rhs, br.store, frozen)
                 if not got:
                     failed.append(("cannot hold", p))
-                nxt.extend(got)
+                nxt.extend(Branch(s, ()) for s in got)
                 continue
-            out = eval_relation(p.lhs, p.op, p.rhs, s, frozen)
+            out = eval_relation(p.lhs, p.op, p.rhs, br.store, frozen)
             if isinstance(out, PredicateFailure):
                 failed.append((out, p))
                 continue
-            holds, s2 = out
+            holds, s = out
             if holds:
-                nxt.append(s2)
+                nxt.append(Branch(s, ()))
             else:
                 failed.append(("does not hold", p))
-        stores = merge(nxt)
-        if not stores:
+        branches = merge_branches([(store, nxt)], own)
+        if not branches:
             break
-    return stores, failed
+    return [br.store for br in branches], failed
 
 
 def evaluate_condition(preds: Iterable[Predicate], store: BindingStore,
-                       frozen: frozenset[Var] = frozenset()) -> list[BindingStore]:
-    """All stores under which every predicate holds; empty when the
-    condition is not satisfied."""
-    return _walk(preds, store, frozen)[0]
+                       frozen: frozenset[Var] = frozenset(),
+                       own: Collection[Var] = ()) -> list[BindingStore]:
+    """All stores under which every predicate holds, those that say the
+    same merged; empty when the condition is not satisfied."""
+    return _walk(preds, store, frozen, own)[0]
 
 
 @dataclass
@@ -243,27 +246,22 @@ class FireResult:
 
 def fire_clause(clause: Clause, store: BindingStore,
                 frozen: frozenset[Var] = frozenset(),
-                own: Optional[dict[Var, None]] = None) -> FireResult:
+                own: Collection[Var] = ()) -> FireResult:
     """Evaluate one clause: check the condition, then apply assertions.
 
     Assertions use the same predicate walk with no binding restrictions;
     a failing assertion discards its branch and is reported, since it
-    marks an inconsistent specification.  After each predicate, the
-    stores that say the same are merged, with ``store`` as their base and
-    ``own`` the box's variables (see :func:`merge_branches`).
+    marks an inconsistent specification.  ``own`` is the box's variables,
+    by which each walk merges its stores (see :func:`_walk`).
     """
-    def merge(stores: list[BindingStore]) -> list[BindingStore]:
-        branches = [Branch(s, ()) for s in stores]
-        return [br.store for br in merge_branches([(store, branches)], own or {})]
-
-    cond_stores = _walk(clause.conditions, store, frozen, merge)[0]
+    cond_stores = evaluate_condition(clause.conditions, store, frozen, own)
     if not cond_stores:
         return FireResult(False, [], [])
 
     result: list[BindingStore] = []
     failures: list[str] = []
     for s in cond_stores:
-        stores, failed = _walk(clause.assertions, s, merge=merge)
+        stores, failed = _walk(clause.assertions, s, own=own)
         result.extend(stores)
         failures.extend(f"assertion failed ({reason}): {p}" if isinstance(reason, PredicateFailure)
                         else f"assertion {reason}: {p}" for reason, p in failed)
@@ -329,11 +327,11 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
     return Evaluation(branches, diagnostics)
 
 
-def merge_branches(groups: list[tuple[BindingStore, list]], own: dict[Var, None]) -> list:
+def merge_branches(groups: list[tuple[BindingStore, list]], own: Collection[Var]) -> list:
     """Drop every branch that says the same as an earlier one, in order.
 
-    ``groups`` pairs a base store with the branches, a box's or a
-    network's, that extend it.  The key is the group with the local key
+    ``groups`` pairs a base store with the branches, a clause's stores, a
+    box's or a network's, that extend it.  The key is the group with the local key
     over ``own``, or else the full key (see the module docstring).
     """
     if sum(len(branches) for _, branches in groups) < 2:
