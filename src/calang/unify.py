@@ -26,8 +26,21 @@ kept when both operands resolve to the same set.  Duplicates and strictly
 less general solutions are filtered at the end.  The instance check there
 runs its matcher only when the specific solution keeps every ground part
 of the general one: no substitution changes a ground part, so the test
-rejects no instance.  The enumeration is exponential in the set sizes,
-which is the intended trade: property sets are a handful of members.
+rejects no instance.
+
+When the call filters its own answer and the equation is *flat*, no
+element holding one of its union variables, the walk builds only the
+candidates the filter could keep.  It skips the final check: binding a
+union variable changes no element, so each side holds every known
+element, extras repeat known elements and every remainder is on both
+sides.  And a union variable takes no extra that a variable sharing a
+remainder with it already holds, absorbed or as an earlier extra, nor
+any extra when its remainder is private: the candidate with that extra
+is the one without it, built earlier, under ``R := {e} \\/ R``, so the
+filter would drop it or keep the earlier one.  The answer and its order
+are those of the full enumeration.  The enumeration is exponential in
+the set sizes, which is the intended trade: property sets are a handful
+of members.
 
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
@@ -263,7 +276,10 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
 
     Solutions may bind fresh union variables ("remainders") standing for
     shared content the equation does not name.  Union variables are only
-    ever bound to set terms.
+    ever bound to set terms.  ``_filter=False`` returns every verified
+    candidate unfiltered, the full enumeration; with the filter, a flat
+    equation builds only the candidates it could keep (see the module
+    docstring).
     """
     if store is None:
         store = BindingStore()
@@ -289,6 +305,9 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                + [[("pair", i) for i in range(len(A))] + [("absorb", u) for u in U]
                   for _ in B])
     union_vars = list(dict.fromkeys(U + W))
+    # A flat equation that filters its own answer builds only what the
+    # filter could keep.
+    lean = _filter and not any(u in union_vars for e in A + B for u in iter_vars(e))
     absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
     chosen: list[Optional[tuple]] = [None] * len(options)
     solutions: list[BindingStore] = []
@@ -321,10 +340,7 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
         # pair of union variables shares a remainder; a variable occurring
         # on both sides gets a private one.
         known = list(dict.fromkeys(resolve(e, s) for e in A + B))
-        extras = []
-        for v in union_vars:
-            held = {resolve(e, s) for e in absorbed[v]}
-            extras.append(_subsets([e for e in known if e not in held]))
+        held = {v: {resolve(e, s) for e in absorbed[v]} for v in union_vars}
         remainders: dict[Var, list[Var]] = {v: [] for v in union_vars}
         for u in U:
             for w in W:
@@ -332,19 +348,31 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                 remainders[u].append(nv)
                 if u != w:
                     remainders[w].append(nv)
-        bind_extras(0, s, extras, remainders)
+        bind_extras(0, s, known, held, remainders)
 
-    def bind_extras(i: int, s: BindingStore, extras: list, remainders: dict):
+    def bind_extras(i: int, s: BindingStore, known: list, held: dict, remainders: dict):
         # The union variables from the i-th on, each bound to the elements
         # the witness absorbed into it, one choice of extras and its
-        # remainders.
+        # remainders.  ``held`` has each variable's known elements so far:
+        # those absorbed, and the extras of the variables before the i-th.
         if i == len(union_vars):
-            if resolve(v1, s) == resolve(v2, s):
+            if lean or resolve(v1, s) == resolve(v2, s):
                 solutions.append(s)
             return
         v = union_vars[i]
+        own = held[v]
+        # Leave out the extras that v holds and, lean, those a remainder
+        # supplies: what a variable sharing a remainder with v holds, and
+        # anything when v's remainder is private.
+        if not lean:
+            supplied = own
+        elif v in U and v in W:
+            supplied = set(known)
+        else:
+            supplied = own.union(*(held[p] for p in (W if v in U else U)))
         forced = [resolve(e, s) for e in absorbed[v]]
-        for extra in extras[i]:
+        for extra in _subsets([e for e in known if e not in supplied]):
+            held[v] = own.union(extra)
             value = SetTerm(forced + list(extra), remainders[v])
             if s.binding(v) is not None:
                 nxt = unify(v, value, s, frozen, _filter=False)
@@ -352,7 +380,8 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                 b = _bind(s, v, value, frozen)
                 nxt = [b] if b is not None else []
             for s2 in nxt:
-                bind_extras(i + 1, s2, extras, remainders)
+                bind_extras(i + 1, s2, known, held, remainders)
+        held[v] = own
 
     walk(0, [store])
 
@@ -438,9 +467,14 @@ def _match(pattern: Term, target: Term, sub: BindingStore):
         case (SetTerm(), SetTerm()):
             yield from _match_sets(pattern, target, sub)
         case (SetTerm(), Var()):
-            # A lone union variable can stand for an opaque target set.
+            # A lone union variable can stand for an opaque target set,
+            # and {} \/ X is X itself.
             if not pattern.elements and len(pattern.union_vars) == 1:
-                yield from _match(pattern.union_vars[0], SetTerm((), (target,)), sub)
+                u = pattern.union_vars[0]
+                if resolve(u, sub) == target:
+                    yield sub
+                else:
+                    yield from _match(u, SetTerm((), (target,)), sub)
 
 
 def _match_all(patterns, targets, sub: BindingStore):

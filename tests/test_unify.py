@@ -7,11 +7,13 @@ sound for every solution it returns and must cover every ground unifier
 the oracle finds.
 """
 
+import functools
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from calang.arith import SET_IN_ARITH, PredicateFailure, eval_relation
 from calang.syntax import parse_term
@@ -38,6 +40,7 @@ from calang.unify import (
     unify_sets,
     _keeps_ground_parts,
     _match_all,
+    _prune,
     _relevant_vars,
     _rename_apart,
 )
@@ -431,6 +434,18 @@ class TestMaximalGenerality:
                             f"solution {j} subsumed by {i} for "
                             f"{term_text(t1)} ~ {term_text(t2)}")
 
+    def test_matcher_reads_empty_union_as_the_variable(self):
+        # {} \/ X is X: a pattern {} \/ G whose G stands for the opaque
+        # target set matches it.
+        assert is_instance_of([w, w], [v, SetTerm([], [v])])
+        # Without that, {a} \/ $w ~ {a, f({} \/ $v)} \/ $w kept a second
+        # solution in one operand order, an instance of the first under
+        # $_ := {a} \/ $_.
+        t1, t2 = SetTerm([a], [w]), SetTerm([a, Tup((Sym("f"), SetTerm([], [v])))], [w])
+        rvars = _relevant_vars([t1, t2], BindingStore())
+        (fwd,), (rev,) = unify_sets(t1, t2, BindingStore()), unify_sets(t2, t1, BindingStore())
+        assert solution_snapshot(fwd, rvars) == solution_snapshot(rev, rvars)
+
     def test_symmetry_up_to_renaming(self):
         cases = [
             (SetTerm([a, x]), SetTerm([a, b])),
@@ -490,7 +505,8 @@ def test_small_pairs_sound_complete_minimal_and_order_independent():
 
 
 # ---------------------------------------------------------------------------
-# The ladder rung k=2 and the ground-part prefilter of is_instance_of
+# The ladder, the candidates the unifier builds, and the ground-part
+# prefilter of is_instance_of
 # ---------------------------------------------------------------------------
 
 def ladder(k):
@@ -501,17 +517,48 @@ def ladder(k):
     return SetTerm(xs, [v]), SetTerm([a, b, c][:k], [w])
 
 
-def test_ladder_rung_2_is_minimal_and_order_independent():
-    t1, t2 = ladder(2)
+@functools.cache
+def ladder_run(k, reverse=False):
+    """The solutions of rung k in one operand order, and the length of
+    each candidate list that reached ``_prune``."""
+    t1, t2 = ladder(k)
+    if reverse:
+        t1, t2 = t2, t1
+    lengths = []
+
+    def counting(stores, rvars):
+        lengths.append(len(stores))
+        return _prune(stores, rvars)
+
+    with mock.patch("calang.unify._prune", counting):
+        return unify_sets(t1, t2, BindingStore()), lengths
+
+
+def assert_ladder_minimal_and_order_independent(k, count):
+    t1, t2 = ladder(k)
     rvars = _relevant_vars([t1, t2], BindingStore())
-    fwd, rev = unify_sets(t1, t2, BindingStore()), unify_sets(t2, t1, BindingStore())
-    assert len(fwd) == len(rev) == 35
+    fwd, rev = ladder_run(k)[0], ladder_run(k, True)[0]
+    assert len(fwd) == len(rev) == count
     assert ({solution_snapshot(s, rvars) for s in fwd}
             == {solution_snapshot(s, rvars) for s in rev})
     for sols in (fwd, rev):
         vecs = [[resolve(r, s) for r in rvars] for s in sols]
         for i, j in itertools.permutations(range(len(vecs)), 2):
             assert not is_instance_of(vecs[j], vecs[i]), f"solution {j} is an instance of {i}"
+
+
+def test_ladder_rung_2_is_minimal_and_order_independent():
+    assert_ladder_minimal_and_order_independent(2, 35)
+
+
+def test_ladder_rung_3_is_minimal_and_order_independent():
+    assert_ladder_minimal_and_order_independent(3, 484)
+
+
+@pytest.mark.parametrize("k,candidates", [(1, 6), (2, 89), (3, 2176)])
+def test_ladder_builds_no_extra_that_a_remainder_supplies(k, candidates):
+    # The full enumeration, _filter=False, builds 12, 328 and 14,176.
+    assert ladder_run(k)[1] == ladder_run(k, True)[1] == [candidates]
 
 
 def distinct_union_pairs():
@@ -558,3 +605,46 @@ def test_ground_part_prefilter_passes_every_pair_with_a_witness(source):
                 f"{term_text(t1)} ~ {term_text(t2)}: prefilter rejects "
                 f"{[term_text(t) for t in specific]} against {[term_text(t) for t in general]}")
     assert rejected and passed
+
+
+# ---------------------------------------------------------------------------
+# Exactness: the answer is the prune of the full enumeration
+# ---------------------------------------------------------------------------
+
+def assert_prune_of_full_enumeration(t1, t2, solutions):
+    """``solutions``, the answer of ``unify_sets(t1, t2)``, is the prune
+    of every candidate that the unfiltered enumeration builds and
+    verifies, snapshot for snapshot and in order."""
+    rvars = _relevant_vars([t1, t2], BindingStore())
+    full = _prune(unify_sets(t1, t2, BindingStore(), _filter=False), rvars)
+    assert ([solution_snapshot(s, rvars) for s in solutions]
+            == [solution_snapshot(s, rvars) for s in full]), f"{term_text(t1)} ~ {term_text(t2)}"
+
+
+def test_distinct_union_answers_are_the_prune_of_the_full_enumeration():
+    for t1, t2 in distinct_union_pairs():
+        assert_prune_of_full_enumeration(t1, t2, unify_sets(t1, t2, BindingStore()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ladder_answers_are_the_prune_of_the_full_enumeration(k):
+    t1, t2 = ladder(k)
+    assert_prune_of_full_enumeration(t1, t2, ladder_run(k)[0])
+    assert_prune_of_full_enumeration(t2, t1, ladder_run(k, True)[0])
+
+
+# Members of flat equations: none holds $v or $w, the union variables, but
+# two hold a set open in $z.
+z = lv("z", 4)
+FLAT_SIDES = st.tuples(
+    st.lists(st.sampled_from([a, b, x, y, Tup((a, x)), Tup((Sym("f"), SetTerm([], [z]))),
+                              Tup((Sym("f"), SetTerm([a], [z])))]), max_size=2, unique=True),
+    st.sampled_from([[], [v], [w]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(FLAT_SIDES, FLAT_SIDES)
+def test_flat_answers_are_the_prune_of_the_full_enumeration(left, right):
+    assume(len(left[0]) + len(right[0]) <= 3)
+    t1, t2 = SetTerm(*left), SetTerm(*right)
+    assert_prune_of_full_enumeration(t1, t2, unify_sets(t1, t2, BindingStore()))

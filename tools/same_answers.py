@@ -14,9 +14,14 @@ hash per corpus:
   order returned;
 * ``distinct-union``: the same dump over pairs whose sides have distinct
   union variables ``$v`` and ``$w``;
-* ``ladder``: the same dump over the rungs k=1 and k=2 of the
+* ``ladder``: the same dump over the rungs k=1 to k=3 of the
   ``set-equations`` ladder, ``{$x1..$xk} \\/ $v ~ {s1..sk} \\/ $w``, in
   both operand orders;
+* ``nested``: the same dump over pairs whose members may hold a set,
+  open in one of the union variables ``$v`` and ``$w``, as
+  ``f({} \\/ $v)``, or closed, as ``f({a})``; a member that holds one of
+  the equation's own union variables makes it not flat, which no other
+  set corpus reaches;
 * ``reports``: the exit code, standard output and standard error of every
   ``check``, ``eval``, ``horn`` and ``aggregate`` report, in text and in
   JSON, on ``tests/fixtures`` (``check`` and ``horn`` also on all its
@@ -156,19 +161,30 @@ def _universes():
                 for e1 in sides for e2 in sides if len(e1) + len(e2) <= 3
                 for u1 in ([], [v]) for u2 in ([], [w])]
 
-    # The ladder rungs k=1 and k=2 of the set-equations workload.
+    # The ladder rungs k=1 to k=3 of the set-equations workload.
     rungs = [(SetTerm([Var(("u", 200 + i), f"x{i + 1}", LOCAL) for i in range(k)], [v]),
-              SetTerm([a, b][:k], [w])) for k in (1, 2)]
+              SetTerm([a, b, c][:k], [w])) for k in (1, 2, 3)]
     ladder = rungs + [(t2, t1) for t1, t2 in rungs]
-    return shared, distinct, ladder
+
+    # Members that hold a set, open in either union variable or closed:
+    # up to two members a side, at most three in all, and $v or $w on
+    # each side.
+    f = Sym("f")
+    pool = [a, b, x, Tup((f, SetTerm([], [v]))), Tup((f, SetTerm([a], [w]))),
+            Tup((f, SetTerm([a]))), Tup((f, SetTerm([b])))]
+    sides = [elems for k in range(3) for elems in itertools.combinations(pool, k)]
+    nested = [(SetTerm(e1, [u1]), SetTerm(e2, [u2]))
+              for e1 in sides for e2 in sides if len(e1) + len(e2) <= 3
+              for u1 in (v, w) for u2 in (v, w)]
+    return shared, distinct, ladder, nested
 
 
 def child(commands_file: str) -> None:
     from calang import cli
 
-    shared, distinct, ladder = _universes()
+    shared, distinct, ladder, nested = _universes()
     for name, pairs in (("criterion-2", shared), ("distinct-union", distinct),
-                        ("ladder", ladder)):
+                        ("ladder", ladder), ("nested", nested)):
         digest = hashlib.sha256()
         solutions = _solution_dump(name, pairs, digest)
         print(f"{name}: {len(pairs)} pairs, {solutions} solutions, {digest.hexdigest()}",
