@@ -20,9 +20,13 @@ information asserts nothing.
 Branches that say the same are merged, the first one kept, by
 :func:`merge_branches`: a clause's stores after each predicate, a box's
 branches after each clause and a network's after each box instance.
-Merging inside a clause keeps a guard whose ``$_`` can hold several
-values from multiplying the work of the predicates after it; the merge
-after the clause still joins branches that grew from different parents.
+A guard such as ``$x :=: {value($v)} \\/ $_`` does not fork on what its
+``$_`` holds, as set unification leaves a written ``$_`` out of its
+answer (see :mod:`calang.unify`).  Merging inside a clause keeps a guard
+that forks on a named variable, such as ``$e`` in
+``tests/fixtures/guards.cal``, from multiplying the work of the
+predicates after it when its forks say the same; the merge after the
+clause still joins branches that grew from different parents.
 What a branch says is its *full key*, :func:`branch_snapshot`: every
 named variable bound in the store, which in a network is the whole
 network's, with its resolved value, unbound variables renamed by first

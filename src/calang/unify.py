@@ -22,11 +22,14 @@ One depth-first walk builds, binds and verifies each candidate: the
 witness choices element by element, then each union variable's extras in
 turn.  A choice whose pair does not unify, or whose union variable cannot
 bind, is dropped with everything that extends it; a complete candidate is
-kept when both operands resolve to the same set.  Duplicates and strictly
-less general solutions are filtered at the end.  The instance check there
-runs its matcher only when the specific solution keeps every ground part
-of the general one: no substitution changes a ground part, so the test
-rejects no instance.
+kept when both operands resolve to the same set.  The walk unifies each
+pair of elements once per store, and a pair that fails under the entry
+store is never tried under an extension of it: the unifier is complete,
+so no extension unifies a pair that the entry store cannot.  Duplicates
+and strictly less general solutions are filtered at the end.  The
+instance check there runs its matcher only when the specific solution
+keeps every ground part of the general one: no substitution changes a
+ground part, so the test rejects no instance.
 
 When the call filters its own answer and the equation is *flat*, no
 element holding one of its union variables, the walk builds only the
@@ -41,6 +44,16 @@ filter would drop it or keep the earlier one.  The answer and its order
 are those of the full enumeration.  The enumeration is exponential in
 the set sizes, which is the intended trade: property sets are a handful
 of members.
+
+A ``$_`` written in an operand, not reached through a binding, is
+*hidden*.  It is fresh and occurs once, so no binding of the entry store
+reaches it, and it shows only through the values of the other variables.
+The filter leaves hidden variables out of its key, and a lean walk gives
+a hidden union variable no extras: the same witness without them comes
+first and has the same key.  So ``{value($v)} \\/ $_`` against a ground
+set has one solution, not one per choice of what ``$_`` holds.  A
+``$_`` in a variable's binding, from an earlier predicate or an
+environment file, stays in the key.
 
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
@@ -214,6 +227,7 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
     """
     if store is None:
         store = BindingStore()
+    written = t1, t2  # a set operand goes to unify_sets as written
 
     while isinstance(t1, Var) and store.binding(t1) is not None:
         t1 = store.binding(t1)
@@ -245,7 +259,7 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
     if set1 or set2:
         if not (set1 and set2):
             return []
-        return unify_sets(t1, t2, store, frozen, _filter=_filter)
+        return unify_sets(*written, store, frozen, _filter=_filter)
 
     match t1, t2:
         case (Num(), Num()) | (Sym(), Sym()):
@@ -278,8 +292,10 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     shared content the equation does not name.  Union variables are only
     ever bound to set terms.  ``_filter=False`` returns every verified
     candidate unfiltered, the full enumeration; with the filter, a flat
-    equation builds only the candidates it could keep (see the module
-    docstring).
+    equation builds only the candidates it could keep, and the answer is
+    minimal on every variable but the hidden ones, the ``$_`` written in
+    ``s1`` and ``s2`` (see the module docstring).  Each pair of elements
+    is unified once per store.
     """
     if store is None:
         store = BindingStore()
@@ -308,9 +324,22 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     # A flat equation that filters its own answer builds only what the
     # filter could keep.
     lean = _filter and not any(u in union_vars for e in A + B for u in iter_vars(e))
+    # The hidden variables: each $_ written in an operand, which no report
+    # shows (see the module docstring).
+    hidden = {u for t in (s1, s2) if isinstance(t, SetTerm) for u in iter_vars(t) if u.anonymous}
     absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
     chosen: list[Optional[tuple]] = [None] * len(options)
+    pairs: dict[tuple, list[BindingStore]] = {}
     solutions: list[BindingStore] = []
+
+    def pair(i: int, j: int, s: BindingStore) -> list[BindingStore]:
+        # A[i] ~ B[j] under s, unified once per store.  A pair that fails
+        # under the entry store fails under every extension of it.
+        got = pairs.get((i, j, s))
+        if got is None:
+            fails = s is not store and not pair(i, j, store)
+            got = pairs[i, j, s] = [] if fails else unify(A[i], B[j], s, frozen, _filter=False)
+        return got
 
     def walk(k: int, stores: list[BindingStore]):
         # The witness choices from the k-th element on, in the order of the
@@ -328,8 +357,8 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                 absorbed[target].append(element)
             # A pair that both of its elements chose is unified only once.
             elif k < len(A) or chosen[target] != ("pair", k - len(A)):
-                a, b = (element, B[target]) if k < len(A) else (A[target], element)
-                nxt = [s2 for s in stores for s2 in unify(a, b, s, frozen, _filter=False)]
+                i, j = (k, target) if k < len(A) else (target, k - len(A))
+                nxt = [s2 for s in stores for s2 in pair(i, j, s)]
             if nxt:
                 walk(k + 1, nxt)
             if kind == "absorb":
@@ -363,10 +392,10 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
         own = held[v]
         # Leave out the extras that v holds and, lean, those a remainder
         # supplies: what a variable sharing a remainder with v holds, and
-        # anything when v's remainder is private.
+        # anything when v's remainder is private or v is hidden.
         if not lean:
             supplied = own
-        elif v in U and v in W:
+        elif v in hidden or (v in U and v in W):
             supplied = set(known)
         else:
             supplied = own.union(*(held[p] for p in (W if v in U else U)))
@@ -387,7 +416,7 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
 
     if not _filter:
         return solutions
-    return _prune(solutions, _relevant_vars([v1, v2], store))
+    return _prune(solutions, [v for v in _relevant_vars([v1, v2], store) if v not in hidden])
 
 
 def _subsets(items: list) -> list[tuple]:

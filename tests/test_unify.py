@@ -15,7 +15,9 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from calang.aggregate import instance_input_store, parse_env_file
 from calang.arith import SET_IN_ARITH, PredicateFailure, eval_relation
+from calang.clauses import evaluate_box, parse_box
 from calang.syntax import parse_term
 from calang.terms import (
     LOCAL,
@@ -648,3 +650,97 @@ def test_flat_answers_are_the_prune_of_the_full_enumeration(left, right):
     assume(len(left[0]) + len(right[0]) <= 3)
     t1, t2 = SetTerm(*left), SetTerm(*right)
     assert_prune_of_full_enumeration(t1, t2, unify_sets(t1, t2, BindingStore()))
+
+
+# ---------------------------------------------------------------------------
+# Hidden variables and the pair memo
+# ---------------------------------------------------------------------------
+
+def parse_pair(left, right):
+    scope = VarScope()
+    return desugar(parse_term(left), scope), desugar(parse_term(right), scope), scope
+
+
+class TestHiddenAnonymousVariables:
+    """A ``$_`` written in an operand shows in no report, so set
+    unification neither keys nor forks on what it holds."""
+
+    def test_a_property_guard_has_one_solution(self):
+        # The full enumeration keeps 4, which differ only in what $_ holds.
+        t1, t2, scope = parse_pair("{value(88), Type(int)}", "{value($kv), Type(int)} \\/ $_")
+        (s,) = unify(t1, t2)
+        assert resolve(scope.known("kv"), s) == Num(Fraction(88))
+
+    def test_named_variables_still_fork(self):
+        t1, t2, scope = parse_pair("{a, b}", "{$x} \\/ $_")
+        assert [resolve(scope.known("x"), s) for s in unify(t1, t2)] == [a, b]
+
+    def test_a_variable_reached_through_an_earlier_binding_is_not_hidden(self):
+        # As clause 2 of test_anonymous_variable_keeps_branches_apart:
+        # {a} \/ $_ ~ {a, $z} has $z = a with $_ = {}, or $_ = {$z} or
+        # {$z, a}.  With $_ left out of the key, the first would be an
+        # instance of the others, and one solution would remain.
+        q_value, pattern, scope = parse_pair("{a} \\/ $_", "{a, $z}")
+        q, z = lv("q", 40), scope.known("z")
+        for operand in (q, SetTerm([], [q])):
+            sols = unify(operand, pattern, BindingStore().bind(q, q_value))
+            assert [resolve(z, s) for s in sols] == [a, z, z]
+
+    def test_a_variable_from_an_env_file_is_not_hidden(self):
+        box = parse_box("box X ((x) -> (y)): $x :=: {a, $z} => $y :=: {$z};")
+        store = instance_input_store(box, ("X",), parse_env_file("X.$x = {a} \\/ $_\n"))
+        y = box.object_vars["y"]
+        assert [term_text(resolve(y, br.store)) for br in evaluate_box(box, store).branches] \
+            == ["{a}", "{$z}"]
+
+
+h = Var(("t", 5), "_", "anonymous")
+
+
+@settings(max_examples=100, deadline=None)
+@given(FLAT_SIDES, FLAT_SIDES, st.booleans())
+def test_hidden_union_variable_answers_are_the_prune_of_the_full_enumeration(left, right, swap):
+    # One side is open in a literal $_ as well; the answer is the prune,
+    # on every other variable, of the unfiltered enumeration, in order.
+    assume(len(left[0]) + len(right[0]) <= 3)
+    t1, t2 = SetTerm(left[0], [h, *left[1]]), SetTerm(*right)
+    if swap:
+        t1, t2 = t2, t1
+    rvars = [u for u in _relevant_vars([t1, t2], BindingStore()) if u != h]
+    full = _prune(unify_sets(t1, t2, BindingStore(), _filter=False), rvars)
+    assert ([solution_snapshot(s, rvars) for s in unify(t1, t2)]
+            == [solution_snapshot(s, rvars) for s in full]), f"{term_text(t1)} ~ {term_text(t2)}"
+
+
+@functools.cache
+def criterion_2_draws():
+    """Strategies over the criterion-2 universe: an operand, one of its
+    elements, one of its sets or a tuple holding a set; and a value or
+    None for each of $y, $x and $v, in that order, each value over the
+    variables before it."""
+    from test_acceptance import ELEMENT_POOL, V, X, Y, pair_universe
+
+    sets = pair_universe()
+    operands = st.sampled_from(ELEMENT_POOL + sets + [Tup((Sym("f"), t)) for t in sets[::5]])
+    values = st.tuples(
+        st.sampled_from([None, a, b, Tup((a, a))]),
+        st.sampled_from([None, a, c, Y, Tup((a, Y))]),
+        st.sampled_from([None, SetTerm(), SetTerm([a]), SetTerm([a, X]), SetTerm([b], [lv("w", 41)])]))
+    return (Y, X, V), operands, values
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_pair_that_fails_fails_under_every_extension(data):
+    # What lets unify_sets skip a pair, under every store of its walk, that
+    # fails under the entry store.
+    variables, operands, values = criterion_2_draws()
+    t1, t2 = data.draw(operands), data.draw(operands)
+    s = extended = BindingStore()
+    for var, value in zip(variables, data.draw(values)):
+        if value is not None:
+            extended = extended.bind(var, value)
+            if data.draw(st.booleans()):
+                s = s.bind(var, value)
+    if not unify(t1, t2, s):
+        assert not unify(t1, t2, extended), f"{term_text(t1)} ~ {term_text(t2)} under {extended!r}"

@@ -8,10 +8,10 @@ Usage, from the root of the repository:
 ``src/calang``) and may be repeated.  For each tree the script prints one
 hash per corpus:
 
-* ``criterion-2``: every ``unify_sets`` solution, as its
-  ``solution_snapshot``, for all pairs of the acceptance suite's
-  criterion-2 universe (one union variable shared by both sides), in the
-  order returned;
+* ``criterion-2``: every solution of ``unify``, which hands two sets to
+  ``unify_sets`` as written, as its ``solution_snapshot``, for all pairs
+  of the acceptance suite's criterion-2 universe (one union variable
+  shared by both sides), in the order returned;
 * ``distinct-union``: the same dump over pairs whose sides have distinct
   union variables ``$v`` and ``$w``;
 * ``ladder``: the same dump over the rungs k=1 to k=3 of the
@@ -22,6 +22,10 @@ hash per corpus:
   ``f({} \\/ $v)``, or closed, as ``f({a})``; a member that holds one of
   the equation's own union variables makes it not flat, which no other
   set corpus reaches;
+* ``anonymous``: the same dump over the criterion-2 pairs whose right
+  side is open, with that side's union variable written as ``$_``, a
+  variable no report shows, so set unification neither keys nor forks
+  on it; the snapshot still shows it;
 * ``reports``: the exit code, standard output and standard error of every
   ``check``, ``eval``, ``horn`` and ``aggregate`` report, in text and in
   JSON, on ``tests/fixtures`` (``check`` and ``horn`` also on all its
@@ -125,13 +129,13 @@ def _item(name: str, label: str, data: bytes, digest) -> None:
 def _solution_dump(name: str, pairs, digest) -> int:
     """Hash every solution of every pair; return the number of solutions."""
     from calang.terms import term_text
-    from calang.unify import BindingStore, _relevant_vars, solution_snapshot, unify_sets
+    from calang.unify import BindingStore, _relevant_vars, solution_snapshot, unify
 
     count = 0
     for t1, t2 in pairs:
         rvars = _relevant_vars([t1, t2], BindingStore())
         data = [repr((t1, t2)).encode()]
-        for s in unify_sets(t1, t2, BindingStore()):
+        for s in unify(t1, t2, BindingStore()):
             data.append(repr(solution_snapshot(s, rvars)).encode())
             count += 1
         _item(name, f"{term_text(t1)} ~ {term_text(t2)}", b"".join(data) + b"\n", digest)
@@ -139,7 +143,7 @@ def _solution_dump(name: str, pairs, digest) -> int:
 
 
 def _universes():
-    from calang.terms import LOCAL, SetTerm, Sym, Tup, Var
+    from calang.terms import ANONYMOUS, LOCAL, SetTerm, Sym, Tup, Var
 
     a, b, c = Sym("a"), Sym("b"), Sym("c")
     x, y = Var(("u", 0), "x", LOCAL), Var(("u", 1), "y", LOCAL)
@@ -151,6 +155,8 @@ def _universes():
     terms = [SetTerm(elems, uv) for k in range(3)
              for elems in itertools.combinations(pool, k) for uv in ([], [v])]
     shared = [(t1, t2) for t1 in terms for t2 in terms]
+    hidden = Var(("u", 4), "_", ANONYMOUS)
+    anonymous = [(t1, SetTerm(t2.elements, [hidden])) for t1, t2 in shared if t2.union_vars]
 
     # Distinct union variables on the two sides, at most three members in
     # all: two members a side against two with both union variables takes
@@ -176,15 +182,15 @@ def _universes():
     nested = [(SetTerm(e1, [u1]), SetTerm(e2, [u2]))
               for e1 in sides for e2 in sides if len(e1) + len(e2) <= 3
               for u1 in (v, w) for u2 in (v, w)]
-    return shared, distinct, ladder, nested
+    return shared, distinct, ladder, nested, anonymous
 
 
 def child(commands_file: str) -> None:
     from calang import cli
 
-    shared, distinct, ladder, nested = _universes()
+    shared, distinct, ladder, nested, anonymous = _universes()
     for name, pairs in (("criterion-2", shared), ("distinct-union", distinct),
-                        ("ladder", ladder), ("nested", nested)):
+                        ("ladder", ladder), ("nested", nested), ("anonymous", anonymous)):
         digest = hashlib.sha256()
         solutions = _solution_dump(name, pairs, digest)
         print(f"{name}: {len(pairs)} pairs, {solutions} solutions, {digest.hexdigest()}",
