@@ -4,7 +4,9 @@ Numeric values are exact rationals plus three extended values: positive
 and negative infinity and "unknown".  Unknown absorbs through every
 builtin; comparisons against it cannot be established and fail the
 predicate.  Failure is a verdict (:class:`PredicateFailure`), never an
-exception: the enclosing predicate simply does not hold.
+exception: the enclosing predicate simply does not hold.  Relations are
+numeric: a set fails one (``set-in-arith``), and equivalences are
+unified instead (see :attr:`calang.clauses.Predicate.unifies`).
 
 The complexity vocabulary stays symbolic wherever exactness would be
 lost: ``log`` only evaluates on integer powers of two (base 2) and ``^``
@@ -26,7 +28,6 @@ from .terms import (
     HAT,
     MINUS,
     PLUS,
-    SET,
     SLASH,
     TIMES,
     UNION_SYM,
@@ -36,10 +37,9 @@ from .terms import (
     Term,
     Tup,
     Var,
-    classify,
     term_text,
 )
-from .unify import BindingStore, resolve, set_violation, unify
+from .unify import BindingStore, resolve
 
 
 class Special(enum.Enum):
@@ -260,8 +260,8 @@ def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] =
     unbound left-hand variable, the right-hand side's value is bound to
     it and the relation holds.  A finite value binds as a number; an
     extended or unknown value binds the resolved right-hand term itself
-    (complexity expressions stay symbolic); a set-valued right-hand side
-    binds through unification.  Everything else is a pure comparison.
+    (complexity expressions stay symbolic); a set value, even a variable's,
+    fails with ``set-in-arith``.  Everything else is a pure comparison.
     """
     if store is None:
         store = BindingStore()
@@ -276,14 +276,6 @@ def eval_relation(lhs: Term, op: str, rhs: Term, store: Optional[BindingStore] =
                 return True, store.bind(target, Num(rhs_value))
             if rhs_value in (POS_INF, NEG_INF, UNKNOWN):
                 return True, store.bind(target, resolve(rhs, store))
-            if rhs_value.reason == SET_IN_ARITH and classify(rhs_set := resolve(rhs, store)) == SET:
-                violation = set_violation(rhs_set, store)
-                if violation:
-                    return PredicateFailure(SET_IN_ARITH, violation)
-                stores = unify(target, rhs, store, frozen)
-                if stores:
-                    return True, stores[0]
-                return PredicateFailure(SET_IN_ARITH, term_text(rhs_set))
             return rhs_value
 
     lhs_value = eval_numeric(lhs, store)

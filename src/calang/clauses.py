@@ -9,8 +9,10 @@ is a flat clause list.
 Evaluation walks the clauses in declaration order against one
 accumulating store per branch: a later clause sees the associations the
 earlier ones made, which is how a local bound by clause 1 is visible to
-clause 2.  An equivalence ``:=:`` with several maximally general unifiers
-forks the branch; every surviving branch is reported.
+clause 2.  A predicate is a numeric relation or an equivalence, which is
+unified, as its written terms decide (:attr:`Predicate.unifies`).  An
+equivalence with several maximally general unifiers forks the branch;
+every surviving branch is reported.
 
 Conditions are tests, not wishes: an input object variable that has no
 association cannot acquire one inside a condition.  A condition that
@@ -56,7 +58,8 @@ from typing import Callable, Collection, Iterable, Optional
 from . import syntax
 from .arith import PredicateFailure, eval_relation
 from .syntax import Declaration, Pos, ProvidedBlock
-from .terms import ENVIRONMENT, Term, Var, VarScope, VarSupply, desugar, iter_vars, term_text
+from .terms import (ENVIRONMENT, SET, Term, Var, VarScope, VarSupply, classify, desugar,
+                    iter_vars, term_text)
 from .unify import BindingStore, solution_snapshot, unify
 
 ENV_FILE_SPACE = "e"  # the variable space of the terms in an environment file
@@ -64,10 +67,16 @@ ENV_FILE_SPACE = "e"  # the variable space of the terms in an environment file
 
 @dataclass(frozen=True)
 class Predicate:
-    """A relation, or with ``op`` ``":=:"`` an equivalence."""
+    """A numeric relation, or an equivalence solved by unification."""
     lhs: Term
     op: str
     rhs: Term
+
+    @property
+    def unifies(self) -> bool:
+        """True for an equivalence: a ``:=:``, or a ``=`` whose written right
+        side is a set, ill-formed or not.  No run-time value decides it."""
+        return self.op == ":=:" or (self.op == "=" and classify(self.rhs) == SET)
 
     def __str__(self):
         return f"{term_text(self.lhs)} {self.op} {term_text(self.rhs)}"
@@ -212,7 +221,7 @@ def _walk(preds: Iterable[Predicate], store: BindingStore,
     for p in preds:
         nxt: list[Branch] = []
         for br in branches:
-            if p.op == ":=:":
+            if p.unifies:
                 got = unify(p.lhs, p.rhs, br.store, frozen)
                 if not got:
                     failed.append(("cannot hold", p))

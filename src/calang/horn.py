@@ -7,12 +7,14 @@ which expands to ``k`` Horn clauses: the i-th has head ``Ai`` and body
 style with terms in a functor syntax a generic inference engine can read;
 negation in the body is the standard implicit Horn reading.
 
-Encoding: relations become binary predicates (``num_eq``, ``gt``, ``lt``,
-``ge``, ``le``, ``ne``), equivalences become ``eq(T1, T2)``; sets export
-as ``set([...])`` and unions as nested ``union(S, V)``; operator-headed
-tuples use their bare names (``times``, ``plus``, ...).  Variables are
-renamed apart per source clause, so no two clauses share a name unless
-they came from the same one.
+Encoding: numeric relations become binary predicates (``num_eq``, which
+is numeric equality only, ``gt``, ``lt``, ``ge``, ``le``, ``ne``); what
+evaluation unifies (:attr:`calang.clauses.Predicate.unifies`), a ``:=:``
+or a set binding such as ``$d = {a} \\/ $b``, becomes ``eq(T1, T2)``.
+Sets export as ``set([...])`` and unions as nested ``union(S, V)``;
+operator-headed tuples use their bare names (``times``, ``plus``, ...).
+Variables are renamed apart per source clause, so no two clauses share a
+name unless they came from the same one.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from typing import Iterable
 from .clauses import BoxDeclaration, Clause, Predicate
 from .terms import HAT, MINUS, PLUS, SLASH, TIMES, UNION, UNION_SYM, Num, SetTerm, Sym, Term, Tup, Var
 
-_REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne",
-              ":=:": "eq"}
+_REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne"}
 _OP_NAMES = {PLUS: "plus", MINUS: "minus", TIMES: "times", SLASH: "slash", HAT: "hat",
              UNION: "union"}
 
@@ -83,7 +84,8 @@ def _functor_term(t: Term, names: dict[Var, str], suffix: str) -> str:
 
 
 def _functor_pred(p: Predicate, names: dict[Var, str], suffix: str) -> str:
-    return (f"{_REL_NAMES[p.op]}({_functor_term(p.lhs, names, suffix)}, "
+    name = "eq" if p.unifies else _REL_NAMES[p.op]
+    return (f"{name}({_functor_term(p.lhs, names, suffix)}, "
             f"{_functor_term(p.rhs, names, suffix)})")
 
 

@@ -18,32 +18,35 @@ The set unifier builds candidate solutions from three ingredients:
 3. fresh *remainder* union variables shared between left and right union
    variables, standing for common content the equation does not name.
 
-One depth-first walk builds, binds and verifies each candidate: the
-witness choices element by element, then each union variable's extras in
-turn.  A choice whose pair does not unify, or whose union variable cannot
-bind, is dropped with everything that extends it; a complete candidate is
-kept when both operands resolve to the same set.  The walk unifies each
-pair of elements once per store, and a pair that fails under the entry
-store is never tried under an extension of it: the unifier is complete,
-so no extension unifies a pair that the entry store cannot.  Duplicates
-and strictly less general solutions are filtered at the end.  The
-instance check there runs its matcher only when the specific solution
-keeps every ground part of the general one: no substitution changes a
-ground part, so the test rejects no instance.
+One depth-first walk builds and binds each candidate: the witness
+choices element by element, then each union variable's extras in turn.
+A choice whose pair does not unify, or whose union variable cannot bind
+or unify with its value, is dropped with everything that extends it.
+Every candidate it completes is a solution, with no final check.  Under
+its store, as the unifier's answers for the pairs and the bound union
+variables are sound (by induction on the calls) and stay so under every
+extension, each element equals the one it was paired with or is held by
+the union variable that absorbed it; each extra is a known element, on
+its own side and, by its witness, on the other; and each side holds
+every remainder.  So both sides resolve to the same set.  The walk
+unifies each pair of elements once per store, and a pair that fails
+under the entry store is never tried under an extension of it: the
+unifier is complete, so no extension unifies a pair that the entry store
+cannot.  Duplicates and strictly less general solutions are filtered at
+the end.  The instance check there runs its matcher only when the
+specific solution keeps every ground part of the general one: no
+substitution changes a ground part, so the test rejects no instance.
 
 When the call filters its own answer and the equation is *flat*, no
 element holding one of its union variables, the walk builds only the
-candidates the filter could keep.  It skips the final check: binding a
-union variable changes no element, so each side holds every known
-element, extras repeat known elements and every remainder is on both
-sides.  And a union variable takes no extra that a variable sharing a
-remainder with it already holds, absorbed or as an earlier extra, nor
-any extra when its remainder is private: the candidate with that extra
-is the one without it, built earlier, under ``R := {e} \\/ R``, so the
-filter would drop it or keep the earlier one.  The answer and its order
-are those of the full enumeration.  The enumeration is exponential in
-the set sizes, which is the intended trade: property sets are a handful
-of members.
+candidates the filter could keep: a union variable takes no extra that
+a variable sharing a remainder with it already holds, absorbed or as an
+earlier extra, nor any extra when its remainder is private: the
+candidate with that extra is the one without it, built earlier, under
+``R := {e} \\/ R``, so the filter would drop it or keep the earlier one.
+The answer and its order are those of the full enumeration.  The
+enumeration is exponential in the set sizes, which is the intended
+trade: property sets are a handful of members.
 
 A ``$_`` written in an operand, not reached through a binding, is
 *hidden*.  It is fresh and occurs once, so no binding of the entry store
@@ -51,9 +54,10 @@ reaches it, and it shows only through the values of the other variables.
 The filter leaves hidden variables out of its key, and a lean walk gives
 a hidden union variable no extras: the same witness without them comes
 first and has the same key.  So ``{value($v)} \\/ $_`` against a ground
-set has one solution, not one per choice of what ``$_`` holds.  A
-``$_`` in a variable's binding, from an earlier predicate or an
-environment file, stays in the key.
+set has one solution, not one per choice of what ``$_`` holds, and so
+has a tuple holding it, whose prune keys alike.  A ``$_`` in a
+variable's binding, from an earlier predicate or an environment file,
+stays in the key.
 
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
@@ -64,7 +68,7 @@ by :func:`resolve`.  Every walk over a term goes through
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Collection, Iterable, Optional
 
 from .terms import (
     ANONYMOUS,
@@ -175,31 +179,17 @@ def _bind(store: BindingStore, var: Var, term: Term,
     return store.bind(var, term)
 
 
-def set_violation(r: Term, store: BindingStore) -> Optional[str]:
-    """Well-formedness of a set already resolved under ``store``: it must
-    pass :func:`check_set_wellformed`, and a union variable still in it
-    must be unbound (resolution leaves one bound to an individual in
-    place)."""
-    if not isinstance(r, SetTerm):
-        return None
-    violation = check_set_wellformed(r)
-    if violation:
-        return violation
-    for v in r.union_vars:
-        if store.binding(v) is not None:
-            return f"union variable {v.name} is bound to an individual"
-    return None
-
-
 def _set_view(t: Term, store: BindingStore) -> Optional[SetTerm]:
     """The resolved ``SetTerm`` that a set operand stands for: the set
-    itself or a variable's binding.  Anything else, an ill-formed set
-    or a raw ``\\union`` tuple included, yields None, which callers
-    turn into failure.
+    itself or a variable's binding.  Anything else yields None, which
+    callers turn into failure: a raw ``\\union`` tuple, an ill-formed set,
+    or one with a union variable that resolution left bound to an individual.
     """
     if isinstance(t, SetTerm):
         r = resolve(t, store)
-        return None if set_violation(r, store) else r
+        if check_set_wellformed(r) or any(store.is_bound(v) for v in r.union_vars):
+            return None
+        return r
     if isinstance(t, Var):
         b = store.binding(t)
         return _set_view(b, store) if b is not None else None
@@ -273,7 +263,7 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
                 if not stores:
                     return []
             if _filter and len(stores) > 1:
-                stores = _prune(stores, _relevant_vars([t1, t2], store))
+                stores = _prune(stores, _relevant_vars([t1, t2], store, _hidden_vars(written)))
             return stores
         case _:
             return []
@@ -290,8 +280,8 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
 
     Solutions may bind fresh union variables ("remainders") standing for
     shared content the equation does not name.  Union variables are only
-    ever bound to set terms.  ``_filter=False`` returns every verified
-    candidate unfiltered, the full enumeration; with the filter, a flat
+    ever bound to set terms.  ``_filter=False`` returns every candidate
+    unfiltered, the full enumeration; with the filter, a flat
     equation builds only the candidates it could keep, and the answer is
     minimal on every variable but the hidden ones, the ``$_`` written in
     ``s1`` and ``s2`` (see the module docstring).  Each pair of elements
@@ -324,9 +314,7 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     # A flat equation that filters its own answer builds only what the
     # filter could keep.
     lean = _filter and not any(u in union_vars for e in A + B for u in iter_vars(e))
-    # The hidden variables: each $_ written in an operand, which no report
-    # shows (see the module docstring).
-    hidden = {u for t in (s1, s2) if isinstance(t, SetTerm) for u in iter_vars(t) if u.anonymous}
+    hidden = _hidden_vars((s1, s2))
     absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
     chosen: list[Optional[tuple]] = [None] * len(options)
     pairs: dict[tuple, list[BindingStore]] = {}
@@ -385,8 +373,7 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
         # remainders.  ``held`` has each variable's known elements so far:
         # those absorbed, and the extras of the variables before the i-th.
         if i == len(union_vars):
-            if lean or resolve(v1, s) == resolve(v2, s):
-                solutions.append(s)
+            solutions.append(s)
             return
         v = union_vars[i]
         own = held[v]
@@ -416,7 +403,7 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
 
     if not _filter:
         return solutions
-    return _prune(solutions, [v for v in _relevant_vars([v1, v2], store) if v not in hidden])
+    return _prune(solutions, _relevant_vars([v1, v2], store, hidden))
 
 
 def _subsets(items: list) -> list[tuple]:
@@ -430,11 +417,17 @@ def _subsets(items: list) -> list[tuple]:
 # Solution filtering: duplicates and strictly less general stores
 # ---------------------------------------------------------------------------
 
-def _relevant_vars(terms: Iterable[Term], store: BindingStore) -> list[Var]:
+def _hidden_vars(written: Iterable[Term]) -> set[Var]:
+    """Each ``$_`` written in an operand (see the module docstring)."""
+    return {v for t in written if not isinstance(t, Var) for v in iter_vars(t) if v.anonymous}
+
+
+def _relevant_vars(terms: Iterable[Term], store: BindingStore,
+                   hidden: Collection[Var] = ()) -> list[Var]:
     out: dict[Var, None] = {}
     for t in terms:
         for v in iter_vars(resolve(t, store)):
-            if store.binding(v) is None:
+            if store.binding(v) is None and v not in hidden:
                 out[v] = None
     return list(out)
 

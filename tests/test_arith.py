@@ -27,6 +27,7 @@ from calang.arith import (
     eval_numeric,
     eval_relation,
 )
+from calang.clauses import Predicate, evaluate_condition
 from calang.terms import (
     HAT,
     LOCAL,
@@ -233,11 +234,14 @@ class TestEvalRelation:
         assert isinstance(out, PredicateFailure)
 
     def test_equality_with_set_rhs_binds_through_unification(self):
+        # A = with a written set is an equivalence: the predicate walk
+        # unifies it, and eval_relation, numeric only, refuses the set.
         lhs, op, rhs, scope = self.make("$d = $base \\/ {rank(3)}")
         base_val = SetTerm([Tup((Sym("Type"), Sym("int")))])
         s = BindingStore().bind(scope.known("base"), base_val)
-        holds, s2 = eval_relation(lhs, op, rhs, s)
-        assert holds
+        out = eval_relation(lhs, op, rhs, s)
+        assert isinstance(out, PredicateFailure) and out.reason == SET_IN_ARITH
+        (s2,) = evaluate_condition([Predicate(lhs, op, rhs)], s)
         got = resolve(scope.known("d"), s2)
         assert got == SetTerm([Tup((Sym("Type"), Sym("int"))),
                                Tup((Sym("rank"), Num(Fraction(3))))])

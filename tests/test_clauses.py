@@ -29,6 +29,7 @@ from calang.terms import (
     HAT,
     LOCAL,
     OBJECT,
+    SET,
     SLASH,
     TIMES,
     Num,
@@ -38,6 +39,7 @@ from calang.terms import (
     Var,
     VarScope,
     VarSupply,
+    classify,
     desugar,
     iter_vars,
     term_text,
@@ -206,6 +208,38 @@ class TestFireClause:
                                "assertion does not hold: $f > 1"]
 
 
+class TestEquivalenceOrRelation:
+    """A ``=`` whose written right side is a set is an equivalence,
+    unified like ``:=:``; any other ``=`` is a numeric relation.  The
+    written terms decide, never a run-time value."""
+
+    def warnings(self, body):
+        box = parse_box(f"box b ((x) -> (y)): {body}")
+        ev = evaluate_box(box)
+        return ev.branches, [d.message for d in ev.diagnostics if d.severity == "warning"]
+
+    def test_a_bound_variable_and_a_written_set_are_a_set_equality(self):
+        branches, warnings = self.warnings("=> $d = {a, b}, $d = {b, a}, $y = 1;")
+        assert len(branches) == 1 and warnings == []
+        branches, warnings = self.warnings("=> $d = {a, b}, $d = {a, c};")
+        assert branches == []
+        assert warnings == ["clause 1: assertion cannot hold: $d = {a, c}",
+                            "box b: no consistent evaluation branch"]
+
+    def test_a_variable_that_holds_a_set_is_numeric(self):
+        branches, warnings = self.warnings("=> $s :=: {a}, $d = $s;")
+        assert branches == []
+        assert warnings == ["clause 1: assertion failed (set-in-arith: {a}): $d = $s",
+                            "box b: no consistent evaluation branch"]
+
+    @pytest.mark.parametrize("predicate", ["3 = {a}", "$d = {a} \\/ b", "$d = {a, {b}}"])
+    def test_a_written_set_that_cannot_unify_cannot_hold(self, predicate):
+        branches, warnings = self.warnings(f"=> {predicate};")
+        assert branches == []
+        assert warnings == [f"clause 1: assertion cannot hold: {predicate}",
+                            "box b: no consistent evaluation branch"]
+
+
 class TestEvaluateBox:
     def test_mybox_large_k(self, mybox_source):
         box = parse_box(mybox_source)
@@ -339,15 +373,16 @@ def box_evaluations(monkeypatch, tmp_path, cal, expr, env=""):
 
 def reference_conjoin(preds, store, frozen, failures):
     """The stores under which every predicate holds, every fork kept: each
-    predicate is conjoined with ``unify`` or ``eval_relation`` over every
-    store so far.  Each discarded store appends to ``failures`` what says
-    which failure it was, the predicate's index and the store's full key,
-    and its message."""
+    predicate is conjoined over every store so far, with ``unify`` when it
+    is a ``:=:`` or a ``=`` with a written set on its right, else with
+    ``eval_relation``.  Each discarded store appends to ``failures`` what
+    says which failure it was, the predicate's index and the store's full
+    key, and its message."""
     stores = [store]
     for i, p in enumerate(preds):
         nxt = []
         for s in stores:
-            if p.op == ":=:":
+            if p.op == ":=:" or (p.op == "=" and classify(p.rhs) == SET):
                 got = unify(p.lhs, p.rhs, s, frozen)
                 nxt += got
                 message = None if got else f"assertion cannot hold: {p}"

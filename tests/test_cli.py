@@ -155,6 +155,15 @@ class TestHorn:
         clause_lines = [l for l in out1.splitlines() if l and not l.startswith("%")]
         assert len(clause_lines) == 8
 
+    def test_mybox_set_binding_exports_as_an_equivalence(self, capsys, fixtures_dir):
+        # Clause 2's $d = $base \/ {rank(3)} binds $d by unification, so
+        # it exports as eq, like a :=:, and not as the numeric num_eq.
+        _, out = run(capsys, "horn", str(fixtures_dir / "mybox.cal"))
+        clause_2 = out.split("% MYBOX clause 2 ")[1].split("% MYBOX clause 3 ")[0]
+        assert re.search(r"^eq\(D_2_\d+, union\(set\(\[rank\(3\)\]\), Base_2_\d+\)\) :- ",
+                         clause_2, re.M)
+        assert "num_eq" not in clause_2
+
     def test_two_files_concatenate_in_order(self, capsys, fixtures_dir, tmp_path):
         other = tmp_path / "other.cal"
         other.write_text("box Z ((x) -> (y)): => $y = 1;")

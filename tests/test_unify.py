@@ -615,8 +615,8 @@ def test_ground_part_prefilter_passes_every_pair_with_a_witness(source):
 
 def assert_prune_of_full_enumeration(t1, t2, solutions):
     """``solutions``, the answer of ``unify_sets(t1, t2)``, is the prune
-    of every candidate that the unfiltered enumeration builds and
-    verifies, snapshot for snapshot and in order."""
+    of every candidate that the unfiltered enumeration builds, snapshot
+    for snapshot and in order."""
     rvars = _relevant_vars([t1, t2], BindingStore())
     full = _prune(unify_sets(t1, t2, BindingStore(), _filter=False), rvars)
     assert ([solution_snapshot(s, rvars) for s in solutions]
@@ -652,6 +652,25 @@ def test_flat_answers_are_the_prune_of_the_full_enumeration(left, right):
     assert_prune_of_full_enumeration(t1, t2, unify_sets(t1, t2, BindingStore()))
 
 
+# Members of non-flat equations: f($v), f({a} \/ $v) and $v itself hold one
+# of the equation's union variables.
+f = Sym("f")
+NESTED_SIDES = st.tuples(
+    st.lists(st.sampled_from([a, b, x, Tup((f, v)), Tup((f, SetTerm([a], [v]))), v,
+                              Tup((f, SetTerm([], [w]))), w]), max_size=2, unique=True),
+    st.sampled_from([[], [v], [w]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(NESTED_SIDES, NESTED_SIDES)
+def test_every_candidate_of_a_non_flat_equation_is_a_solution(left, right):
+    # unify_sets keeps every candidate its walk completes, with no final
+    # check; the unify module docstring proves that both sides agree.
+    t1, t2 = SetTerm(*left), SetTerm(*right)
+    for s in unify_sets(t1, t2, BindingStore(), _filter=False):
+        assert resolve(t1, s) == resolve(t2, s), f"{term_text(t1)} ~ {term_text(t2)}: {s!r}"
+
+
 # ---------------------------------------------------------------------------
 # Hidden variables and the pair memo
 # ---------------------------------------------------------------------------
@@ -674,6 +693,10 @@ class TestHiddenAnonymousVariables:
     def test_named_variables_still_fork(self):
         t1, t2, scope = parse_pair("{a, b}", "{$x} \\/ $_")
         assert [resolve(scope.known("x"), s) for s in unify(t1, t2)] == [a, b]
+
+    def test_a_set_inside_a_tuple_does_not_fork_on_its_hidden_variable(self):
+        t1, t2, _ = parse_pair("f({a} \\/ $_)", "f({a, b, c})")
+        assert len(unify(t1, t2)) == len(unify(t2, t1)) == 1
 
     def test_a_variable_reached_through_an_earlier_binding_is_not_hidden(self):
         # As clause 2 of test_anonymous_variable_keeps_branches_apart:

@@ -37,7 +37,9 @@ Beside its hashes, each tree's ``src/calang`` line count is printed, the
 count of newlines that ``wc -l`` gives; it is never compared.  When a
 corpus hashes differently in two trees, the script prints how many of its
 items differ and the first three: an item is a pair of a set corpus, or a
-command of ``reports`` with its format.
+command of ``reports`` with its format.  For ``reports`` it also prints
+how many of the differing items each subcommand has, so a change meant to
+touch only ``horn`` reports shows that it did.
 
 The inputs are generated once, into a temporary directory, so every tree
 reads the same files; reports name them by paths relative to that
@@ -50,6 +52,7 @@ code is 0 when every tree gives the same hashes, else 1.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -252,8 +255,14 @@ def main(argv=None) -> int:
             if other_hashes.get(name) != line:
                 differ = [label for (label, a), (_, b) in zip(items[name], other_items[name])
                           if a != b]
+                per_command = ""
+                if name == "reports":  # a label is "--format FORMAT COMMAND ..."
+                    counts = collections.Counter(label.split()[2] for label in differ)
+                    per_command = " (" + ", ".join(
+                        f"{command} {counts[command]}"
+                        for command in ("check", "eval", "horn", "aggregate")) + ")"
                 print(f"{name}: {len(differ)} of {len(items[name])} items differ between "
-                      f"{first} and {tree}, first:")
+                      f"{first} and {tree}{per_command}, first:")
                 for label in differ[:3]:
                     print(f"  {label}")
     same = all(h == hashes for h, _ in results.values())
