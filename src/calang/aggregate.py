@@ -251,8 +251,6 @@ def aggregate_functional(net: Network, inputs: Optional[BindingStore] = None) ->
                 ev = evaluate_box(inst.decl, s)
                 for d in ev.diagnostics:
                     diag(d.severity, f"{inst.name}: {d.message}")
-                if not ev.branches:
-                    continue
                 for sub in ev.branches:
                     fired = dict(br.fired)
                     fired[inst.name] = sub.fired

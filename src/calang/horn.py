@@ -12,7 +12,10 @@ is numeric equality only, ``gt``, ``lt``, ``ge``, ``le``, ``ne``); what
 evaluation unifies (:attr:`calang.clauses.Predicate.unifies`), a ``:=:``
 or a set binding such as ``$d = {a} \\/ $b``, becomes ``eq(T1, T2)``.
 Sets export as ``set([...])`` and unions as nested ``union(S, V)``;
-operator-headed tuples use their bare names (``times``, ``plus``, ...).
+operator-headed tuples use their bare names (``times``, ``plus``, ...)
+and a tuple with no symbol head is ``tuple(...)``.  A source name
+spelled like one of these functors is quoted, as ``'union'(set([a]), V)``
+for ``union({a}, $v)``, so no two terms export to the same text.
 Variables are renamed apart per source clause, so no two clauses share a
 name unless they came from the same one.
 """
@@ -28,6 +31,7 @@ from .terms import HAT, MINUS, PLUS, SLASH, TIMES, UNION, UNION_SYM, Num, SetTer
 _REL_NAMES = {"=": "num_eq", ">": "gt", "<": "lt", ">=": "ge", "<=": "le", "!=": "ne"}
 _OP_NAMES = {PLUS: "plus", MINUS: "minus", TIMES: "times", SLASH: "slash", HAT: "hat",
              UNION: "union"}
+_RESERVED = frozenset(_OP_NAMES.values()) | {"set", "tuple"}
 
 
 @dataclass(frozen=True)
@@ -43,8 +47,10 @@ def to_horn(clause: Clause) -> list[HornClause]:
 
 
 def _atom(name: str) -> str:
-    if name and (name[0].islower() and name.replace("_", "").isalnum() and
-                 all(c.isalnum() or c == "_" for c in name)):
+    if name in _OP_NAMES:
+        return _OP_NAMES[name]
+    if (name[:1].islower() and name not in _RESERVED
+            and all(c.isalnum() or c == "_" for c in name)):
         return name
     escaped = name.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"
@@ -55,7 +61,7 @@ def _functor_term(t: Term, names: dict[Var, str], suffix: str) -> str:
         case Num():
             return str(t.value)
         case Sym():
-            return _atom(_OP_NAMES.get(t.name, t.name))
+            return _atom(t.name)
         case Var():
             if t not in names:
                 base = "Anon" if t.anonymous else t.name.lstrip("_") or "G"
@@ -74,7 +80,7 @@ def _functor_term(t: Term, names: dict[Var, str], suffix: str) -> str:
                 inner = f"union({inner}, {_functor_term(op, names, suffix)})"
             return inner
         case Tup() if t.members and isinstance(t.head, Sym):
-            head = _atom(_OP_NAMES.get(t.head.name, t.head.name))
+            head = _atom(t.head.name)
             args = ", ".join(_functor_term(m, names, suffix) for m in t.members[1:])
             return f"{head}({args})" if args else head
         case Tup():

@@ -137,7 +137,7 @@ class SetTerm:
     display.
     """
 
-    __slots__ = ("elements", "union_vars", "_key", "_hash", "_ground", "_violation")
+    __slots__ = ("elements", "union_vars", "_key", "_hash", "_ground")
 
     def __init__(self, elements: Iterable["Term"] = (), union_vars: Iterable[Var] = ()):
         elems, uvars = tuple(elements), tuple(union_vars)
@@ -153,7 +153,6 @@ class SetTerm:
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_ground", None)
-        object.__setattr__(self, "_violation", False)  # not checked yet
 
     def __setattr__(self, name, value):
         raise AttributeError("SetTerm is immutable")
@@ -336,16 +335,14 @@ def check_set_wellformed(t: Term) -> Optional[str]:
     match t:
         case Num() | Sym() | Var():
             return None
-        case SetTerm() if t._violation is not False:  # a set's well-formedness never changes
-            return t._violation
         case SetTerm():
             for e in t.elements:
                 if classify(e) == SET:
-                    return _cache(t, "_violation", f"set member is itself a set: {term_text(e)}")
+                    return f"set member is itself a set: {term_text(e)}"
                 v = check_set_wellformed(e)
                 if v:
-                    return _cache(t, "_violation", v)
-            return _cache(t, "_violation", None)
+                    return v
+            return None
         case Tup() if t.members and t.head == UNION_SYM:
             for op in t.members[1:]:
                 if not isinstance(op, Var) and classify(op) != SET:

@@ -32,8 +32,11 @@ every remainder.  So both sides resolve to the same set.  The walk
 unifies each pair of elements once per store, and a pair that fails
 under the entry store is never tried under an extension of it: the
 unifier is complete, so no extension unifies a pair that the entry store
-cannot.  Duplicates and strictly less general solutions are filtered at
-the end.  The instance check there runs its matcher only when the
+cannot.  A filter then makes one pass over the solutions, in order: it
+skips a duplicate and a solution that a kept one subsumes, and a
+solution it keeps drops the kept ones it subsumes.  As instance-of is
+transitive, that leaves the most general solutions, the earlier of two
+equivalent ones.  The instance check runs its matcher only when the
 specific solution keeps every ground part of the general one: no
 substitution changes a ground part, so the test rejects no instance.
 
@@ -631,27 +634,19 @@ def _keeps_ground_parts(specific: Term, general: Term) -> bool:
 
 
 def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
-    """Drop duplicate solutions (same observable content) and solutions
-    strictly subsumed by a more general one.  Order is preserved."""
-    firsts: dict[tuple, BindingStore] = {}
+    """The most general of ``stores``, in order, in one pass: skip a store
+    whose snapshot was seen or that a kept store subsumes, else drop the
+    kept stores it subsumes and keep it (see the module docstring)."""
+    seen: set[tuple] = set()
+    kept: list[tuple[BindingStore, tuple, list[Term]]] = []
     for s in stores:
-        firsts.setdefault(solution_snapshot(s, rvars), s)
-    kept = list(firsts.values())
-    if len(kept) <= 1:
-        return kept
-
-    values = list(firsts)
-    has_free = [not all(v.ground for v in vals) for vals in values]
-    renamed = [_rename_apart(vals) if free else vals for vals, free in zip(values, has_free)]
-    drop: set[int] = set()
-    for i in range(len(kept)):
-        if i in drop or not has_free[i]:
+        values = solution_snapshot(s, rvars)
+        if values in seen:
             continue
-        for j in range(len(kept)):
-            if i == j or j in drop:
-                continue
-            if is_instance_of(values[j], values[i], renamed[j]):
-                if is_instance_of(values[i], values[j], renamed[i]) and i > j:
-                    continue  # mutual: keep the earlier one
-                drop.add(j)
-    return [s for k, s in enumerate(kept) if k not in drop]
+        seen.add(values)
+        renamed = _rename_apart(values)
+        if any(is_instance_of(values, general, renamed) for _, general, _ in kept):
+            continue
+        kept = [k for k in kept if not is_instance_of(k[1], values, k[2])]
+        kept.append((s, values, renamed))
+    return [s for s, _, _ in kept]

@@ -102,6 +102,15 @@ class TestConnections:
             build_connections(net)
         assert "A" in str(e.value) and "B" in str(e.value)
 
+    def test_upstream_without_output_type_is_error(self):
+        insts, _ = make_net(
+            "box A ((x) -> ):",
+            "box B ((p) -> (q)):")
+        net = Network("m", Serial([insts["A"], insts["B"]], [None]))
+        with pytest.raises(NetworkError) as e:
+            build_connections(net)
+        assert str(e.value) == "box A has no output tuple type to connect"
+
     def test_leaves_and_ends(self, tmp_path):
         (tmp_path / "lib.cal").write_text(
             "".join(f"box {b} ((x) -> (y)):\n" for b in "ABCDEF"))
@@ -145,6 +154,21 @@ class TestFunctionalAggregation:
         assert br.fired.get("B", ()) == ()
         assert any(d.severity == "warning" and "no association" in d.message
                    for d in ev.diagnostics)
+
+    def test_conflicting_upstream_value_warns_and_keeps_the_input(self):
+        # The environment fixes B's input and A asserts another value, so
+        # the edge does not aggregate and B evaluates on its own input.
+        insts, _ = make_net(
+            "box A ((x) -> (y)): => $y :=: {value(8)};",
+            "box B ((p) -> (q)): => $q :=: $p;")
+        net = Network("m", Serial([insts["A"], insts["B"]], [None]))
+        env = {("B", "$p"): term("{value(1)}")}
+        ev = aggregate_functional(net, network_input_store(net, env))
+        assert [(d.severity, d.message) for d in ev.diagnostics] == [
+            ("warning", "A..B: constraint on B.p does not aggregate; leaving it unconstrained")]
+        (br,) = ev.branches
+        assert br.fired == {"A": (0,), "B": (0,)}
+        assert resolve(insts["B"].decl.object_vars["q"], br.store) == term("{value(1)}")
 
     def test_single_box_network_matches_evaluate_box(self):
         from calang.clauses import evaluate_box
@@ -265,6 +289,11 @@ class TestVocabulary:
         issues = check_vocabulary(term("shape(7,7)"))
         assert issues and "shape" in issues[0]
 
+    def test_declaration_check_names_the_clause_of_a_vocabulary_issue(self):
+        box = parse_box("box b ((x) -> (y)): => $y :=: {shape(7,7)};")
+        assert [(d.severity, d.message) for d in check_declaration(box)] == [
+            ("warning", "b clause 1: unterminated shape list: shape(7, 7)")]
+
     def test_rank_wants_count(self):
         assert check_vocabulary(term("rank(2)")) == []
         assert check_vocabulary(term("rank(unknown)")) == []
@@ -322,6 +351,11 @@ class TestNetworkFiles:
         with pytest.raises(syntax.CalSyntaxError) as e:
             parse_network_file(f"use pipeline.cal\n{line}\n", base_dir=fixtures_dir)
         assert str(e.value) == where
+
+    def test_malformed_line_is_error(self, fixtures_dir):
+        with pytest.raises(NetworkError) as e:
+            parse_network_file("use pipeline.cal\nA .. B\n", base_dir=fixtures_dir)
+        assert str(e.value) == "line 2: expected 'use <file.cal>' or 'net <name> = <boxexpr>'"
 
     def test_unknown_box_is_error(self, fixtures_dir):
         with pytest.raises(NetworkError):

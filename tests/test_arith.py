@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 from calang import syntax
 from calang.arith import (
     DIVISION_BY_ZERO,
+    FROZEN_VARIABLE,
     NEG_INF,
     POS_INF,
     SET_IN_ARITH,
@@ -251,6 +252,12 @@ class TestEvalRelation:
         out = eval_relation(lhs, op, rhs, BindingStore())
         assert isinstance(out, PredicateFailure)
         assert out.reason == UNBOUND_VARIABLE
+
+    def test_frozen_unbound_lhs_fails(self):
+        # = binds an unbound left-hand variable, unless it may not bind.
+        lhs, op, rhs, scope = self.make("$x = 3")
+        out = eval_relation(lhs, op, rhs, BindingStore(), frozenset([scope.known("x")]))
+        assert out == PredicateFailure(FROZEN_VARIABLE, "x")
 
     def test_symbolic_rhs_binds_term(self):
         lhs, op, rhs, scope = self.make("$t = $m ^ (3/2)")

@@ -155,8 +155,9 @@ class HornReader:
     ``set([...])`` is a set, ``union(S, V)`` adds the union variable ``V``
     to the set ``S`` and any other ``union`` is a raw ``\\union`` tuple,
     ``tuple(...)`` is a tuple whose head is no symbol, and an operator's
-    bare name is its reserved symbol.  A source symbol spelled like one of
-    these names would read back as what the name stands for."""
+    bare name is its reserved symbol.  A quoted atom is a source name as
+    written, which is how the export escapes a source name spelled like
+    one of these."""
 
     def __init__(self):
         self.variables: dict[str, Var] = {}
@@ -217,23 +218,25 @@ class HornReader:
         if kind == "punct" and text == "[":
             return self.arguments("]")
         assert kind in ("atom", "quoted"), text
-        name = re.sub(r"\\(.)", r"\1", text) if kind == "quoted" else text
+        if kind == "quoted":
+            sym = Sym(re.sub(r"\\(.)", r"\1", text))
+            return Tup((sym, *self.arguments(")"))) if self.accept("(") else sym
         if not self.accept("("):
-            return Sym(_OPERATORS.get(name, name))
+            return Sym(_OPERATORS.get(text, text))
         args = self.arguments(")")
-        if name == "set":
+        if text == "set":
             (elements,) = args
             return SetTerm(elements)
-        if name == "union":
+        if text == "union":
             first, operand = args
             if isinstance(first, SetTerm) and isinstance(operand, Var):
                 return SetTerm(first.elements, (*first.union_vars, operand))
             if isinstance(first, Tup) and first.head == UNION_SYM:
                 return Tup((*first.members, operand))
             return Tup((UNION_SYM, first, operand))
-        if name == "tuple":
+        if text == "tuple":
             return Tup(tuple(args))
-        return Tup((Sym(_OPERATORS.get(name, name)), *args))
+        return Tup((Sym(_OPERATORS.get(text, text)), *args))
 
 
 def canonical(terms: list) -> list:
@@ -296,3 +299,13 @@ class TestReadBack:
         odd = Predicate(box.object_vars["y"], ":=:", Tup((Sym("it's"), Sym("\\log"))))
         box.clauses += (replace(box.clauses[0], conditions=(), assertions=(odd,)),)
         assert_reads_back([box])
+
+    @pytest.mark.parametrize("imitation, term", [
+        ("union({a}, $v)", "{a} \\/ $v"), ("plus(1, 2)", "1 + 2"), ("tuple(1, b)", "(1, b)"),
+        ("set(a, b)", "{a, b}")])
+    def test_a_source_name_spelled_like_an_export_functor_is_escaped(self, imitation, term):
+        boxes = [parse_box(f"box b (() -> (y)): => $y :=: {t};") for t in (imitation, term)]
+        texts = [export_horn([box]).splitlines()[-1] for box in boxes]
+        assert texts[0] != texts[1]
+        for box in boxes:
+            assert_reads_back([box])

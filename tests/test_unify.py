@@ -436,6 +436,18 @@ class TestMaximalGenerality:
                             f"solution {j} subsumed by {i} for "
                             f"{term_text(t1)} ~ {term_text(t2)}")
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["fewer-first", "more-first"])
+    def test_prune_keeps_the_earlier_of_two_equivalent_solutions(self, swap):
+        # {a} \/ G and {a} \/ G \/ H are instances of each other, by H := {}
+        # one way and G := G \/ H the other.
+        g, s = BindingStore().fresh_union_var()
+        h, s = s.fresh_union_var()
+        stores = [s.bind(v, SetTerm([a], [g])), s.bind(v, SetTerm([a], [g, h]))]
+        stores = stores[::-1] if swap else stores
+        first, second = (solution_snapshot(store, [v]) for store in stores)
+        assert is_instance_of(first, second) and is_instance_of(second, first)
+        assert _prune(stores, [v]) == stores[:1]
+
     def test_matcher_reads_empty_union_as_the_variable(self):
         # {} \/ X is X: a pattern {} \/ G whose G stands for the opaque
         # target set matches it.
