@@ -449,8 +449,9 @@ def check_declaration(decl: BoxDeclaration) -> list[Diagnostic]:
             out.append(Diagnostic("warning", f"{decl.name}: $${name} {why}", decl.pos))
     for ci, clause in enumerate(decl.clauses):
         for pred in clause.conditions + clause.assertions:
-            terms = (pred.lhs, pred.rhs)
-            for t in terms:
+            for t in (pred.lhs, pred.rhs):
+                if isinstance(t, (Num, Sym, Var)):
+                    continue  # neither check can flag a number, symbol or variable
                 v = check_set_wellformed(t)
                 if v:
                     out.append(Diagnostic(

@@ -23,6 +23,7 @@ name unless they came from the same one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .clauses import BoxDeclaration, Clause, Predicate
@@ -46,6 +47,8 @@ def to_horn(clause: Clause) -> list[HornClause]:
     return [HornClause(a, clause.conditions) for a in clause.assertions]
 
 
+# Symbol names recur across clauses; the cache bounds what it keeps.
+@lru_cache(maxsize=4096)
 def _atom(name: str) -> str:
     if name in _OP_NAMES:
         return _OP_NAMES[name]
@@ -57,35 +60,37 @@ def _atom(name: str) -> str:
 
 
 def _functor_term(t: Term, names: dict[Var, str], suffix: str) -> str:
-    match t:
-        case Num():
-            return str(t.value)
-        case Sym():
-            return _atom(t.name)
-        case Var():
-            if t not in names:
-                base = "Anon" if t.anonymous else t.name.lstrip("_") or "G"
-                base = "".join(c if c.isalnum() else "_" for c in base)
-                names[t] = f"{base[0].upper()}{base[1:]}_{suffix}_{len(names)}"
-            return names[t]
-        case SetTerm():
-            inner = "set([" + ", ".join(
-                _functor_term(e, names, suffix) for e in t.elements) + "])"
-            for v in t.union_vars:
-                inner = f"union({inner}, {_functor_term(v, names, suffix)})"
-            return inner
-        case Tup() if t.members and t.head == UNION_SYM:
-            inner = _functor_term(t.members[1], names, suffix)
-            for op in t.members[2:]:
+    kind = type(t)
+    if kind is Sym:
+        return _atom(t.name)
+    if kind is Var:
+        name = names.get(t)
+        if name is None:
+            base = "Anon" if t.anonymous else t.name.lstrip("_") or "G"
+            base = "".join(c if c.isalnum() else "_" for c in base)
+            name = names[t] = f"{base[0].upper()}{base[1:]}_{suffix}_{len(names)}"
+        return name
+    if kind is Num:
+        return str(t.value)
+    if kind is Tup:
+        members = t.members
+        head = members[0] if members else None
+        if head == UNION_SYM:
+            inner = _functor_term(members[1], names, suffix)
+            for op in members[2:]:
                 inner = f"union({inner}, {_functor_term(op, names, suffix)})"
             return inner
-        case Tup() if t.members and isinstance(t.head, Sym):
-            head = _atom(t.head.name)
-            args = ", ".join(_functor_term(m, names, suffix) for m in t.members[1:])
-            return f"{head}({args})" if args else head
-        case Tup():
-            args = ", ".join(_functor_term(m, names, suffix) for m in t.members)
-            return f"tuple({args})"
+        if type(head) is Sym:
+            functor = _atom(head.name)
+            args = ", ".join([_functor_term(m, names, suffix) for m in members[1:]])
+            return f"{functor}({args})" if args else functor
+        return "tuple(" + ", ".join([_functor_term(m, names, suffix) for m in members]) + ")"
+    if kind is SetTerm:
+        inner = "set([" + ", ".join(
+            [_functor_term(e, names, suffix) for e in t.elements]) + "])"
+        for v in t.union_vars:
+            inner = f"union({inner}, {_functor_term(v, names, suffix)})"
+        return inner
     raise TypeError(f"not a term: {t!r}")
 
 

@@ -7,8 +7,11 @@ are rendered through it too.  It also parses the network expressions of
 ``.net`` files: box names combined by ``..`` (serial, with an optional
 edge cost ``..[term]``) and ``|`` (parallel).
 
-The lexer matches one compiled regular expression, an alternation with
-one branch per token class, repeatedly from the start of the text.  The
+The lexer splits the text with one compiled regular expression, an
+alternation with one branch per token class, into flat strings: each
+whitespace run and the token after it.  It classifies each distinct token
+text once per call, in a dict from text to kind and value, and makes one
+flat tuple per token; a token's ``pos`` property builds its position.  The
 parser is recursive descent for declarations and network expressions and
 precedence climbing for terms; one table, ``_BINARY_PREC`` with
 ``_UNARY_PREC``, gives the binding strength of every operator to both
@@ -80,12 +83,22 @@ class Pos(NamedTuple):
         return f"line {self.line}, column {self.col}"
 
 
+_new = tuple.__new__  # builds a Pos or Token without the keyword-argument __new__
+
+
 class Token(NamedTuple):
     kind: str
     text: str
-    pos: Pos
+    # The position of the first character, kept flat so that a token is one
+    # tuple; ``pos`` builds the Pos.
+    line: int
+    col: int
     # NUMBER tokens carry their Fraction, variable tokens (name, dollars).
     value: object = None
+
+    @property
+    def pos(self) -> Pos:
+        return _new(Pos, (self.line, self.col))
 
     def __repr__(self):
         return f"Token({self.kind}, {self.text!r})"
@@ -111,8 +124,11 @@ class CalSyntaxError(Exception):
 # str.isalnum or "_", and \d is the decimal digits that int() accepts.
 # A name starts with a letter (str.isalpha) or "_"; [^\W\d] also admits
 # digits and numerals that are not decimal, such as "²", which tokenize
-# rejects there.  The scan ends at the last token: whitespace with no token
-# after it matches nothing, and findall would retry it from every offset.
+# rejects there.  Every match starts where the previous one ended, so
+# splitting on this expression gives an empty string, the whitespace and the
+# token of each match in turn.  The text is cut after its last token first:
+# whitespace with no token after it matches nothing, and the scan would
+# retry it from every offset.
 _TOKEN_RE = re.compile(r"""
     (\s*)
     (   --[^\n]*
@@ -145,11 +161,45 @@ def writable(value: Union[int, Fraction]) -> bool:
     return abs(value.numerator) < _DIGITS_BOUND and value.denominator < _DIGITS_BOUND
 
 
-_new = tuple.__new__  # builds a Pos or Token without the keyword-argument __new__
-
-
 def _is_name_start(c: str) -> bool:
     return c.isalpha() or c == "_"
+
+
+def _classify(text: str, operators: dict[str, str], line: int, col: int) -> tuple:
+    """The kind and value of a token spelled ``text``, or ``(None, None)``
+    for a comment; a text that is no token raises at ``line``, ``col``."""
+    kind = operators.get(text)
+    if kind is not None:
+        return kind, None
+    c = text[0]
+    if c == "$":
+        dollars = 2 if text[1:2] == "$" else 1
+        name = text[dollars:]
+        if not name or not _is_name_start(name[0]):
+            raise CalSyntaxError("'$' must be followed by a letter or underscore", Pos(line, col))
+        if dollars == 2:
+            kind = ENV_VARIABLE
+        elif name == "_":
+            kind = ANON_VARIABLE
+        else:
+            kind = VARIABLE
+        return kind, (name, dollars)
+    if _is_name_start(c):
+        return KEYWORD if text in KEYWORDS else IDENT, None
+    if c.isdecimal():
+        num, _, den = text.partition("/")
+        if max(len(num), len(den)) > MAX_DIGITS:
+            raise CalSyntaxError(f"number literal with more than {MAX_DIGITS} digits",
+                                 Pos(line, col))
+        if den and int(den) == 0:
+            raise CalSyntaxError(f"rational literal {text!r} has a zero denominator",
+                                 Pos(line, col))
+        return NUMBER, Fraction(int(num), int(den or 1))
+    if c == "-":
+        return None, None  # a comment
+    if c == "\\":
+        raise CalSyntaxError("stray '\\' (the only backslash token is '\\/')", Pos(line, col))
+    raise CalSyntaxError(f"unexpected character {c!r}", Pos(line, col))
 
 
 def tokenize(source: str, start: Pos = Pos(1, 1),
@@ -164,52 +214,30 @@ def tokenize(source: str, start: Pos = Pos(1, 1),
     """
     tokens: list[Token] = []
     append = tokens.append
+    # Each distinct text is classified once, where it first occurs, so the
+    # first text that is no token raises first.
+    classes: dict[str, tuple] = {}
     line, line_start, offset = start.line, 1 - start.col, 0  # line_start: offset of column 1
-    for space, text in _TOKEN_RE.findall(source, 0, len(source.rstrip())):
+    parts = _TOKEN_RE.split(source[:len(source.rstrip())])
+    for space, text in zip(parts[1::3], parts[2::3]):
         if space:
             if "\n" in space:
                 line += space.count("\n")
                 line_start = offset + space.rindex("\n") + 1
             offset += len(space)
-        pos = _new(Pos, (line, offset - line_start + 1))
+        col = offset - line_start + 1
         offset += len(text)
-        kind = operators.get(text)
+        cls = classes.get(text)
+        if cls is None:
+            cls = classes[text] = _classify(text, operators, line, col)
+        kind, value = cls
         if kind is not None:
-            append(_new(Token, (kind, text, pos, None)))
-            continue
-        c = text[0]
-        if c == "$":
-            dollars = 2 if text[1:2] == "$" else 1
-            name = text[dollars:]
-            if not name or not _is_name_start(name[0]):
-                raise CalSyntaxError("'$' must be followed by a letter or underscore", pos)
-            if dollars == 2:
-                kind = ENV_VARIABLE
-            elif name == "_":
-                kind = ANON_VARIABLE
-            else:
-                kind = VARIABLE
-            append(_new(Token, (kind, text, pos, (name, dollars))))
-        elif _is_name_start(c):
-            append(_new(Token, (KEYWORD if text in KEYWORDS else IDENT, text, pos, None)))
-        elif c.isdecimal():
-            num, _, den = text.partition("/")
-            if max(len(num), len(den)) > MAX_DIGITS:
-                raise CalSyntaxError(f"number literal with more than {MAX_DIGITS} digits", pos)
-            if den and int(den) == 0:
-                raise CalSyntaxError(f"rational literal {text!r} has a zero denominator", pos)
-            append(_new(Token, (NUMBER, text, pos, Fraction(int(num), int(den or 1)))))
-        elif c == "-":
-            continue  # a comment
-        elif c == "\\":
-            raise CalSyntaxError("stray '\\' (the only backslash token is '\\/')", pos)
-        else:
-            raise CalSyntaxError(f"unexpected character {c!r}", pos)
+            append(_new(Token, (kind, text, line, col, value)))
     rest = source[offset:]  # whitespace after the last token
     if "\n" in rest:
         line += rest.count("\n")
         line_start = offset + rest.rindex("\n") + 1
-    append(_new(Token, (EOF, "", _new(Pos, (line, len(source) - line_start + 1)), None)))
+    append(_new(Token, (EOF, "", line, len(source) - line_start + 1, None)))
     return tokens
 
 
@@ -221,49 +249,49 @@ def tokenize(source: str, start: Pos = Pos(1, 1),
 # compares a tree parsed from the original text with one parsed from its
 # rendering, and those differ in layout only.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NumberLit:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
     """An identifier used as a symbol."""
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarRef:
     name: str
     dollars: int  # 1 = object/local/anonymous, 2 = environment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unary:
     op: str  # "+" or "-"
     operand: "SurfaceTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binary:
     op: str  # one of + - * / ^ \/
     lhs: "SurfaceTerm"
     rhs: "SurfaceTerm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleLit:
     members: tuple["SurfaceTerm", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeadTuple:
     """Head-extraction sugar: ``head(a, b)``."""
     head: str
     args: tuple["SurfaceTerm", ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetLit:
     members: tuple["SurfaceTerm", ...]
 
@@ -271,7 +299,7 @@ class SetLit:
 SurfaceTerm = Union[NumberLit, Name, VarRef, Unary, Binary, TupleLit, HeadTuple, SetLit]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePredicate:
     """A relation, or with ``op`` ``":=:"`` an equivalence."""
     lhs: SurfaceTerm
@@ -279,14 +307,14 @@ class SurfacePredicate:
     rhs: SurfaceTerm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceClause:
     conditions: tuple[SurfacePredicate, ...]
     assertions: tuple[SurfacePredicate, ...]
     pos: Pos = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvidedBlock:
     conditions: tuple[SurfacePredicate, ...]
     body: tuple["SurfaceDecl", ...]
@@ -296,7 +324,7 @@ class ProvidedBlock:
 SurfaceDecl = Union[SurfaceClause, ProvidedBlock]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Header:
     name: str
     inputs: Optional[tuple[str, ...]]  # None when the input tuple is omitted
@@ -304,7 +332,7 @@ class Header:
     pos: Pos = field(compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Declaration:
     header: Header
     decls: tuple[SurfaceDecl, ...]
@@ -468,19 +496,20 @@ class _Parser:
 
     def predicate_list(self) -> list[SurfacePredicate]:
         preds = [self.predicate()]
-        while self.accept(PUNCT, ","):
+        while self.tok.text == ",":  # only punctuation is spelled ","
+            self.next()
             preds.append(self.predicate())
         return preds
 
     def predicate(self) -> SurfacePredicate:
-        lhs_pos = self.tok.pos
+        first = self.tok
         lhs = self.expression()
         if self.tok.kind not in (RELOP, EQUIVOP):
             self.fail("expected a relational operator or ':=:'")
         op = self.next().text
         if op != ":=:" and not isinstance(lhs, (VarRef, NumberLit)):
             raise CalSyntaxError(
-                "the left-hand side of a relation must be a variable or a number", lhs_pos)
+                "the left-hand side of a relation must be a variable or a number", first.pos)
         return SurfacePredicate(lhs, op, self.expression())
 
     def expression(self, min_prec: int = 0) -> SurfaceTerm:
@@ -562,7 +591,8 @@ class _Parser:
         greatest of theirs."""
         terms = [self.expression()]
         height = self.height
-        while self.accept(PUNCT, ","):
+        while self.tok.text == ",":  # only punctuation is spelled ","
+            self.next()
             terms.append(self.expression())
             height = max(height, self.height)
         self.height = height

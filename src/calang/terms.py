@@ -282,36 +282,47 @@ def desugar(node, scope: Optional[VarScope] = None) -> Term:
 
 
 def _lower(node, scope: VarScope) -> Term:
-    kind = type(node)
-    if kind is syntax.VarRef:
-        return scope.lookup(node.name, node.dollars)
-    if kind is syntax.NumberLit:
-        return Num(node.value)
-    if kind is syntax.Name:
-        return Sym(node.text)
-    if kind is syntax.Binary:
-        lhs, rhs = _lower(node.lhs, scope), _lower(node.rhs, scope)
-        if node.op == "\\/":
-            return _merge_union(lhs, rhs)
-        return Tup((_INFIX_SYM[node.op], lhs, rhs))
-    if kind is syntax.HeadTuple:
-        return Tup((Sym(node.head), *[_lower(a, scope) for a in node.args]))
-    if kind is syntax.TupleLit:
-        return Tup(tuple([_lower(m, scope) for m in node.members]))
-    if kind is syntax.SetLit:
-        # A set literal written inside a set literal stays an element;
-        # the well-formedness check reports it at use time.
-        return SetTerm([_lower(m, scope) for m in node.members])
-    if kind is syntax.Unary:
-        inner = _lower(node.operand, scope)
-        if isinstance(inner, Num):
-            return Num(-inner.value) if node.op == "-" else inner
-        if node.op == "+":
-            return inner
-        return Tup((MINUS_SYM, inner))
-    if isinstance(node, (Num, Sym, Var, Tup, SetTerm)):
-        return node
-    raise TypeError(f"not a surface term: {node!r}")
+    lower = _LOWERINGS.get(type(node))
+    if lower is None:
+        raise TypeError(f"not a surface term: {node!r}")
+    return lower(node, scope)
+
+
+def _lower_binary(node: syntax.Binary, scope: VarScope) -> Term:
+    lhs, rhs = _lower(node.lhs, scope), _lower(node.rhs, scope)
+    if node.op == "\\/":
+        return _merge_union(lhs, rhs)
+    return Tup((_INFIX_SYM[node.op], lhs, rhs))
+
+
+def _lower_unary(node: syntax.Unary, scope: VarScope) -> Term:
+    inner = _lower(node.operand, scope)
+    if isinstance(inner, Num):
+        return Num(-inner.value) if node.op == "-" else inner
+    if node.op == "+":
+        return inner
+    return Tup((MINUS_SYM, inner))
+
+
+def _lowered(node: Term, scope: VarScope) -> Term:
+    return node
+
+
+# One lowering per node type; a core term is already lowered.
+_LOWERINGS = {
+    syntax.VarRef: lambda node, scope: scope.lookup(node.name, node.dollars),
+    syntax.NumberLit: lambda node, scope: Num(node.value),
+    syntax.Name: lambda node, scope: Sym(node.text),
+    syntax.Binary: _lower_binary,
+    syntax.HeadTuple: lambda node, scope: Tup(
+        (Sym(node.head), *[_lower(a, scope) for a in node.args])),
+    syntax.TupleLit: lambda node, scope: Tup(tuple([_lower(m, scope) for m in node.members])),
+    # A set literal written inside a set literal stays an element; the
+    # well-formedness check reports it at use time.
+    syntax.SetLit: lambda node, scope: SetTerm([_lower(m, scope) for m in node.members]),
+    syntax.Unary: _lower_unary,
+    **dict.fromkeys((Num, Sym, Var, Tup, SetTerm), _lowered),
+}
 
 
 def classify(t: Term) -> str:

@@ -28,6 +28,7 @@ from calang.aggregate import (
     check_vocabulary,
     clone_declaration,
     leaves,
+    load_boxes,
     multiply_counts,
     network_input_store,
     parse_env_file,
@@ -384,6 +385,15 @@ class TestNetworkFiles:
             parse_env_file(f"$$n = 1\n{target} = 3\n")
         assert str(e.value) == (f"env line 2: expected a '$$NAME', 'BOX.$NAME' or "
                                 f"'BOX.$$NAME' target, found {target!r}")
+
+    def test_syntax_error_wins_over_an_earlier_semantic_error(self, tmp_path):
+        # A file is parsed whole before any of its boxes is flattened.
+        path = tmp_path / "two.cal"
+        path.write_text("box A ((a, a) -> (y)): => $y = 1;\n"
+                        "box B ((x) -> (y)): => $y = ;\n")
+        with pytest.raises(syntax.CalSyntaxError) as e:
+            load_boxes(path)
+        assert str(e.value) == f"{path}: line 2, column 29: expected a term, found ';'"
 
     def test_instance_names_skip_library_box_names(self, tmp_path):
         # The second A would be A_2, the name of another box.

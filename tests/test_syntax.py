@@ -88,6 +88,32 @@ class TestTokenize:
                          "infix-sign", "infix-sign", "infix-sign", "infix-sign"]
 
 
+class TestClassificationPerCall:
+    """tokenize classifies each distinct text once per call, with that
+    call's operator table, where the text first occurs."""
+
+    def test_network_operators_stay_with_the_network(self):
+        _, net = syntax.parse_network("net n = A .. (B | C)", syntax.Pos(1, 1))
+        assert isinstance(net, syntax.NetSerial)
+        assert isinstance(net.stages[1], syntax.NetParallel)
+        for text, bad in (("$a = b | c", "|"), ("$a = b .. c | d", ".")):
+            with pytest.raises(CalSyntaxError) as e:
+                tokenize(text)
+            assert e.value.message == f"unexpected character {bad!r}"
+            assert e.value.pos == syntax.Pos(1, 8)
+
+    def test_repeated_bad_text_reports_its_first_position(self):
+        with pytest.raises(CalSyntaxError) as e:
+            tokenize("$a = $1 +\n  $1")
+        assert e.value.pos == syntax.Pos(1, 6)
+
+    def test_repeated_text_keeps_each_position(self):
+        toks = tokenize("$x + 3/2\n $x * 3/2")
+        assert [(t.text, t.pos, t.value) for t in toks if t.kind in (VARIABLE, NUMBER)] == [
+            ("$x", syntax.Pos(1, 1), ("x", 1)), ("3/2", syntax.Pos(1, 6), Fraction(3, 2)),
+            ("$x", syntax.Pos(2, 2), ("x", 1)), ("3/2", syntax.Pos(2, 7), Fraction(3, 2))]
+
+
 class TestParseTerm:
     def test_set_of_three_members(self):
         t = parse_term("{$A, 12, shape}")
@@ -194,6 +220,13 @@ class TestParseDeclaration:
         parse_predicate("-5 > $x")
         with pytest.raises(CalSyntaxError):
             parse_predicate("$x + 1 > 5")
+
+    def test_lexical_error_after_a_syntax_error_is_reported(self):
+        # The whole text is tokenized before it is parsed.
+        with pytest.raises(CalSyntaxError) as e:
+            parse_program("box B ((x) -> (y)): => $y = ;\n$1")
+        assert e.value.pos == syntax.Pos(2, 1)
+        assert e.value.message == "'$' must be followed by a letter or underscore"
 
     def test_program_with_two_boxes(self):
         prog = parse_program("box A ((x) -> (y)): => $y = 1;\nbox B (() -> ):")
