@@ -340,8 +340,11 @@ def check_set_wellformed(t: Term) -> Optional[str]:
     violation.
 
     A set is ill-formed when an element is itself a set, or when a union
-    operand is anything but a set or a variable.  Callers turn a
-    violation into predicate failure; this check never raises.
+    operand is anything but a set or a variable.  A raw ``\\union`` tuple
+    is ill-formed whatever its operands: desugaring merges a union of sets
+    and variables into one set, and :func:`calang.unify.unify` matches the
+    tuple with nothing.  Callers turn a violation into predicate failure;
+    this check never raises.
     """
     match t:
         case Num() | Sym() | Var():
@@ -361,7 +364,7 @@ def check_set_wellformed(t: Term) -> Optional[str]:
                 v = check_set_wellformed(op)
                 if v:
                     return v
-            return None
+            return f"union left unmerged: {term_text(t)}"
         case Tup():
             for m in t.members:
                 v = check_set_wellformed(m)

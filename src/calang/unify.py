@@ -62,6 +62,39 @@ has a tuple holding it, whose prune keys alike.  A ``$_`` in a
 variable's binding, from an earlier predicate or an environment file,
 stays in the key.
 
+Three more rules skip only candidates that the filter would drop unseen,
+so the answer and its order stay those of the full enumeration:
+
+(a) *Nothing to report: stop at the first solution.*  When the operands
+hold no variable but hidden ones, the filter's key is empty and every
+snapshot is ``()``.  The filter keeps the first candidate and skips each
+later one as a duplicate, so the walk stops at its first solution, and a
+tuple keeps its first store.  A MYBOX guard re-checked once its
+variables are bound is such an equation.
+
+(b) *Ground pairs: compare, do not unify.*  Both operands are
+well-formed sets, so a ground element is a number, a symbol, or a tuple
+of such terms and of well-formed ground sets: the well-formedness
+check rejects a raw ``\\union`` tuple, the one term that :func:`unify`
+does not match with itself.  Two such terms unify exactly when they are equal, nested sets
+as sets, and then bind nothing.  So a pair of ground elements gives its
+store unchanged or fails, with no call to :func:`unify` and no memo
+entry.
+
+(c) *A hidden variable never absorbs a paired element.*  In a lean walk,
+an element of the right side does not pair with a left element that a
+hidden union variable absorbed, nor go into a hidden union variable once
+a left element pairs with it.  Take a leaf that breaks this, and turn
+the absorption into the pair: the left element pairs with the right one,
+or the right one with the left element that pairs with it.  The new leaf
+comes earlier, as pairs come before absorptions and the left side
+chooses first.  It unifies the same pairs, and only the hidden variable
+holds less, so every other variable is offered the same extras or more.
+Each candidate of the skipped leaf is then one of the new leaf's on
+every variable but the hidden one, which no key shows: a duplicate, or
+an instance of a candidate built earlier.  Repeating the change removes
+a hidden absorption each time, so it ends at a leaf the rule keeps.
+
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
 by :func:`resolve`.  Every walk over a term goes through
@@ -266,7 +299,8 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
                 if not stores:
                     return []
             if _filter and len(stores) > 1:
-                stores = _prune(stores, _relevant_vars([t1, t2], store, _hidden_vars(written)))
+                rvars = _relevant_vars([t1, t2], store, _hidden_vars(written))
+                stores = _prune(stores, rvars) if rvars else stores[:1]
             return stores
         case _:
             return []
@@ -287,8 +321,13 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     unfiltered, the full enumeration; with the filter, a flat
     equation builds only the candidates it could keep, and the answer is
     minimal on every variable but the hidden ones, the ``$_`` written in
-    ``s1`` and ``s2`` (see the module docstring).  Each pair of elements
-    is unified once per store.
+    ``s1`` and ``s2``.  Each pair of elements is unified once per store.
+    With the filter, the walk also stops at its first solution when no
+    variable but a hidden one is left (rule (a)), compares two ground
+    elements instead of unifying them (rule (b)), and, lean, never lets a
+    hidden union variable absorb an element that the other side pairs
+    with (rule (c)).  The module docstring proves that each rule keeps
+    the answer and its order.
     """
     if store is None:
         store = BindingStore()
@@ -318,19 +357,36 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     # filter could keep.
     lean = _filter and not any(u in union_vars for e in A + B for u in iter_vars(e))
     hidden = _hidden_vars((s1, s2))
+    veiled = lean and any(u in hidden for u in union_vars)
     absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
     chosen: list[Optional[tuple]] = [None] * len(options)
     pairs: dict[tuple, list[BindingStore]] = {}
     solutions: list[BindingStore] = []
+    rvars = _relevant_vars([v1, v2], store, hidden) if _filter else []
+    # With no variable to report, every candidate keys alike and the
+    # filter keeps the first: the walk stops there.
+    first = _filter and not rvars
 
     def pair(i: int, j: int, s: BindingStore) -> list[BindingStore]:
-        # A[i] ~ B[j] under s, unified once per store.  A pair that fails
-        # under the entry store fails under every extension of it.
+        # A[i] ~ B[j] under s, unified once per store; two ground elements
+        # by equality.  A pair that fails under the entry store fails
+        # under every extension of it.
+        a, b = A[i], B[j]
+        if a.ground and b.ground:
+            return [s] if a == b else []
         got = pairs.get((i, j, s))
         if got is None:
             fails = s is not store and not pair(i, j, store)
-            got = pairs[i, j, s] = [] if fails else unify(A[i], B[j], s, frozen, _filter=False)
+            got = pairs[i, j, s] = [] if fails else unify(a, b, s, frozen, _filter=False)
         return got
+
+    def buried(k: int, kind: str, target) -> bool:
+        # B[k - len(A)] may not pair with an element that a hidden variable
+        # absorbed, nor be absorbed into a hidden variable once an element
+        # pairs with it.
+        if kind == "pair":
+            return chosen[target][0] == "absorb" and chosen[target][1] in hidden
+        return target in hidden and ("pair", k - len(A)) in chosen[:len(A)]
 
     def walk(k: int, stores: list[BindingStore]):
         # The witness choices from the k-th element on, in the order of the
@@ -338,11 +394,15 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
         if k == len(options):
             for s in stores:
                 start_extras(s)
+                if first and solutions:
+                    return
             return
         element = A[k] if k < len(A) else B[k - len(A)]
         for choice in options[k]:
-            chosen[k] = choice
             kind, target = choice
+            if veiled and k >= len(A) and buried(k, kind, target):
+                continue
+            chosen[k] = choice
             nxt = stores
             if kind == "absorb":
                 absorbed[target].append(element)
@@ -354,6 +414,8 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                 walk(k + 1, nxt)
             if kind == "absorb":
                 absorbed[target].pop()
+            if first and solutions:
+                return
 
     def start_extras(s: BindingStore):
         # The extras and remainders of one witness store.  Each left/right
@@ -400,13 +462,16 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                 nxt = [b] if b is not None else []
             for s2 in nxt:
                 bind_extras(i + 1, s2, known, held, remainders)
+            if first and solutions:
+                break
         held[v] = own
 
     walk(0, [store])
-
     if not _filter:
         return solutions
-    return _prune(solutions, _relevant_vars([v1, v2], store, hidden))
+    if first:
+        return solutions[:1]
+    return _prune(solutions, rvars) if len(solutions) > 1 else solutions
 
 
 def _subsets(items: list) -> list[tuple]:

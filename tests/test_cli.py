@@ -1,10 +1,14 @@
+import contextlib
 import json
 import re
+import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import calang.unify
 from calang.cli import main
 from calang.syntax import MAX_TERM_DEPTH
 
@@ -103,6 +107,20 @@ class TestEval:
         assert code == 0
         assert "fired clauses = (none)" in out
         assert "$b" not in out
+
+    def test_mybox_makes_few_unify_calls(self, capsys, fixtures_dir, mybox_env):
+        # Its re-checked guards are ground, so set unification compares
+        # their members and stops at the first solution: 120 calls before.
+        original = calang.unify.unify
+        counted = mock.Mock(wraps=original)
+        with contextlib.ExitStack() as patches:
+            for name, module in list(sys.modules.items()):
+                if name.startswith("calang") and getattr(module, "unify", None) is original:
+                    patches.enter_context(mock.patch.object(module, "unify", counted))
+            code, out = run(capsys, "eval", str(fixtures_dir / "mybox.cal"), "MYBOX",
+                            "--env", mybox_env)
+        assert code == 0 and "$$T0 = 7 * log(7) / 4" in out
+        assert counted.call_count <= 40
 
     def test_unknown_box_errors(self, capsys, fixtures_dir, mybox_env):
         code, out = run(capsys, "eval", str(fixtures_dir / "mybox.cal"), "NOPE",

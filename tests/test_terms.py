@@ -15,6 +15,7 @@ from calang.terms import (
     SLASH,
     TIMES,
     UNION,
+    UNION_SYM,
     Num,
     SetTerm,
     Sym,
@@ -172,6 +173,12 @@ class TestSetWellformed:
 
     def test_violation_found_deep_inside(self):
         assert check_set_wellformed(d("f(({a, {b}}, c))")) is not None
+
+    def test_unmerged_union_of_sets(self):
+        # Desugaring never leaves one; unify matches it with nothing.
+        raw = Tup((UNION_SYM, SetTerm([Sym("a")]), SetTerm([], [Var(("t", 0), "v", LOCAL)])))
+        assert check_set_wellformed(raw) is not None
+        assert check_set_wellformed(SetTerm([Tup((Sym("f"), raw))])) is not None
 
 
 class TestFreshVariables:

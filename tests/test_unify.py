@@ -21,6 +21,7 @@ from calang.clauses import evaluate_box, parse_box
 from calang.syntax import parse_term
 from calang.terms import (
     LOCAL,
+    UNION_SYM,
     Num,
     SetTerm,
     Sym,
@@ -40,6 +41,7 @@ from calang.unify import (
     solution_snapshot,
     unify,
     unify_sets,
+    _hidden_vars,
     _keeps_ground_parts,
     _match_all,
     _prune,
@@ -628,8 +630,8 @@ def test_ground_part_prefilter_passes_every_pair_with_a_witness(source):
 def assert_prune_of_full_enumeration(t1, t2, solutions):
     """``solutions``, the answer of ``unify_sets(t1, t2)``, is the prune
     of every candidate that the unfiltered enumeration builds, snapshot
-    for snapshot and in order."""
-    rvars = _relevant_vars([t1, t2], BindingStore())
+    for snapshot and in order, on every variable but a written ``$_``."""
+    rvars = _relevant_vars([t1, t2], BindingStore(), _hidden_vars((t1, t2)))
     full = _prune(unify_sets(t1, t2, BindingStore(), _filter=False), rvars)
     assert ([solution_snapshot(s, rvars) for s in solutions]
             == [solution_snapshot(s, rvars) for s in full]), f"{term_text(t1)} ~ {term_text(t2)}"
@@ -728,23 +730,100 @@ class TestHiddenAnonymousVariables:
         assert [term_text(resolve(y, br.store)) for br in evaluate_box(box, store).branches] \
             == ["{a}", "{$z}"]
 
+    def test_a_tuple_with_nothing_to_report_keeps_its_first_store(self):
+        # Every store keys alike, so the filter keeps the first, unpruned.
+        t1, t2, _ = parse_pair("f({a} \\/ $_, {b} \\/ $_)", "f({a, b}, {b, c})")
+        for p, q in ((t1, t2), (t2, t1)):
+            full = unify(p, q, _filter=False)
+            assert len(full) > 1
+            with mock.patch("calang.unify._prune", side_effect=AssertionError):
+                (s,) = unify(p, q)
+            assert list(s.items()) == list(full[0].items())
 
-h = Var(("t", 5), "_", "anonymous")
+
+h, h2 = Var(("t", 5), "_", "anonymous"), Var(("t", 6), "_", "anonymous")
+
+
+def write_hidden(t, union_var, hidden):
+    """``t`` with ``union_var`` written as the ``$_`` ``hidden``."""
+    return SetTerm(t.elements, [hidden if u == union_var else u for u in t.union_vars])
 
 
 @settings(max_examples=100, deadline=None)
-@given(FLAT_SIDES, FLAT_SIDES, st.booleans())
-def test_hidden_union_variable_answers_are_the_prune_of_the_full_enumeration(left, right, swap):
-    # One side is open in a literal $_ as well; the answer is the prune,
-    # on every other variable, of the unfiltered enumeration, in order.
+@given(FLAT_SIDES, FLAT_SIDES, st.sampled_from(["left", "right", "both"]))
+def test_hidden_union_variable_answers_are_the_prune_of_the_full_enumeration(left, right, where):
+    # A literal $_ opens the left side, the right side or both; the answer
+    # is the prune, on every other variable, of the unfiltered
+    # enumeration, in order, in both operand orders.
     assume(len(left[0]) + len(right[0]) <= 3)
-    t1, t2 = SetTerm(left[0], [h, *left[1]]), SetTerm(*right)
-    if swap:
-        t1, t2 = t2, t1
-    rvars = [u for u in _relevant_vars([t1, t2], BindingStore()) if u != h]
-    full = _prune(unify_sets(t1, t2, BindingStore(), _filter=False), rvars)
-    assert ([solution_snapshot(s, rvars) for s in unify(t1, t2)]
-            == [solution_snapshot(s, rvars) for s in full]), f"{term_text(t1)} ~ {term_text(t2)}"
+    t1 = SetTerm(left[0], [h, *left[1]] if where != "right" else left[1])
+    t2 = SetTerm(right[0], [h2, *right[1]] if where != "left" else right[1])
+    for p, q in ((t1, t2), (t2, t1)):
+        assert_prune_of_full_enumeration(p, q, unify(p, q))
+
+
+@pytest.mark.parametrize("where", ["left", "right", "both"])
+def test_written_anonymous_answers_are_the_prune_of_the_full_enumeration(where):
+    # The distinct-union pairs with $v, $w or both written as $_.
+    tried = 0
+    for t1, t2 in distinct_union_pairs():
+        p = write_hidden(t1, v, h) if where != "right" else t1
+        q = write_hidden(t2, w, h2) if where != "left" else t2
+        if (p, q) == (t1, t2):
+            continue
+        tried += 1
+        assert_prune_of_full_enumeration(p, q, unify_sets(p, q, BindingStore()))
+        assert_prune_of_full_enumeration(q, p, unify_sets(q, p, BindingStore()))
+    assert tried
+
+
+# Equations whose members are all ground: MYBOX's guards once its
+# variables are bound, ground sets inside tuples, and $_ on either side.
+MYBOX_TYPE = "Type(array, element(real), rank(2), shape(7, (7, nil)))"
+GROUND_EQUATIONS = [
+    ("{value(73), Type(int)}", "{value(73), Type(int)} \\/ $_"),
+    ("{value(73), Type(int)}", "{value(74), Type(int)} \\/ $_"),
+    (f"{{{MYBOX_TYPE}, packed(row_major), aligned(64)}}", f"{{{MYBOX_TYPE}}} \\/ $_"),
+    (f"{{{MYBOX_TYPE}, packed(row_major)}}", f"{{{MYBOX_TYPE}, packed(col_major)}} \\/ $_"),
+    ("{a, b, c}", "{c, b, a}"),
+    ("{a, b}", "{a, c}"),
+    ("{a, b} \\/ $_", "{b, c} \\/ $_"),
+    ("{f({a, b}), c}", "{f({b, a})} \\/ $_"),
+    ("{f({a, b}), g({c})}", "{g({c}), f({a})} \\/ $_"),
+    ("{f({a}, {b, c}), f({a}, {c})}", "{f({a}, {c, b})} \\/ $_"),
+]
+# The same ground sets inside tuples, beside named variables.
+NESTED_GROUND_EQUATIONS = [
+    ("{f({a, b}), $x}", "{f({b, a}), c} \\/ $v"),
+    ("{f({a, b}, $x)} \\/ $_", "{f({b, a}, c), f({a}, c)}"),
+    ("{f({a}), f({a, b})} \\/ $v", "{f({b, a}), $x} \\/ $_"),
+]
+
+
+@pytest.mark.parametrize("left,right", GROUND_EQUATIONS + NESTED_GROUND_EQUATIONS)
+def test_ground_member_answers_are_the_prune_of_the_full_enumeration(left, right):
+    t1, t2, _ = parse_pair(left, right)
+    for p, q in ((t1, t2), (t2, t1)):
+        assert_prune_of_full_enumeration(p, q, unify_sets(p, q, BindingStore()))
+
+
+def test_a_raw_union_inside_a_member_never_unifies():
+    # Desugaring merges a union of sets into one set, so this \union
+    # tuple is built by hand; unify matches it with nothing, and the
+    # well-formedness check keeps it from the comparison of ground pairs.
+    raw = Tup((f, Tup((UNION_SYM, SetTerm([a]), SetTerm([b])))))
+    assert unify(raw, raw) == []
+    assert unify(SetTerm([raw]), SetTerm([raw], [h])) == []
+    assert unify(SetTerm([raw], [h]), SetTerm([raw])) == []
+
+
+@pytest.mark.parametrize("left,right", GROUND_EQUATIONS)
+def test_ground_members_are_compared_not_unified(left, right):
+    t1, t2, _ = parse_pair(left, right)
+    for p, q in ((t1, t2), (t2, t1)):
+        with mock.patch("calang.unify.unify", wraps=unify) as calls:
+            assert len(unify_sets(p, q, BindingStore())) <= 1
+        assert calls.call_count == 0, f"{left} ~ {right}"
 
 
 @functools.cache
