@@ -41,7 +41,6 @@ from .terms import (
     check_set_wellformed,
     classify,
     desugar,
-    fresh_variable,
     term_text,
 )
 from .unify import BindingStore, resolve, unify_sets
@@ -77,7 +76,6 @@ __all__ = [
     "evaluate_condition",
     "fire_clause",
     "flatten_provided",
-    "fresh_variable",
     "parse_box",
     "parse_declaration",
     "parse_program",

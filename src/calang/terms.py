@@ -199,12 +199,6 @@ class VarSupply:
         return self.fresh("_", ANONYMOUS)
 
 
-def fresh_variable(session: VarSupply) -> Var:
-    """A fresh local variable with a generated name, distinct from every
-    variable the session has produced so far."""
-    return session.fresh(f"_G{session.count}", LOCAL)
-
-
 class VarScope:
     """Interns surface variable references for one declaration.
 

@@ -68,9 +68,10 @@ so the answer and its order stay those of the full enumeration:
 (a) *Nothing to report: stop at the first solution.*  When the operands
 hold no variable but hidden ones, the filter's key is empty and every
 snapshot is ``()``.  The filter keeps the first candidate and skips each
-later one as a duplicate, so the walk stops at its first solution, and a
-tuple keeps its first store.  A MYBOX guard re-checked once its
-variables are bound is such an equation.
+later one as a duplicate, so the walk stops at its first solution.  The
+members of a tuple with nothing to report have nothing to report either,
+so each stops at its first solution, and the tuple builds one store.  A
+MYBOX guard re-checked once its variables are bound is such an equation.
 
 (b) *Ground pairs: compare, do not unify.*  Both operands are
 well-formed sets, so a ground element is a number, a symbol, or a tuple
@@ -81,19 +82,24 @@ as sets, and then bind nothing.  So a pair of ground elements gives its
 store unchanged or fails, with no call to :func:`unify` and no memo
 entry.
 
-(c) *A hidden variable never absorbs a paired element.*  In a lean walk,
+(c) *A union variable never absorbs a paired element.*  In a lean walk,
 an element of the right side does not pair with a left element that a
-hidden union variable absorbed, nor go into a hidden union variable once
-a left element pairs with it.  Take a leaf that breaks this, and turn
-the absorption into the pair: the left element pairs with the right one,
-or the right one with the left element that pairs with it.  The new leaf
-comes earlier, as pairs come before absorptions and the left side
-chooses first.  It unifies the same pairs, and only the hidden variable
-holds less, so every other variable is offered the same extras or more.
-Each candidate of the skipped leaf is then one of the new leaf's on
-every variable but the hidden one, which no key shows: a duplicate, or
-an instance of a candidate built earlier.  Repeating the change removes
-a hidden absorption each time, so it ends at a leaf the rule keeps.
+union variable absorbed, nor go into a union variable once a left
+element pairs with it.  Take a leaf that breaks this, and turn the
+absorption of an element ``e`` into ``u`` into the pair: the left
+element pairs with the right one, or the right one with the left element
+that pairs with it.  The new leaf comes earlier, as pairs come before
+absorptions and the left side chooses first.  It unifies the same pairs,
+and only ``u`` holds less, so every other variable is offered the same
+extras or more.  Take a candidate of the skipped leaf.  Where the new
+leaf offers ``u`` the extra ``e``, the candidate that takes it is the
+skipped one, a duplicate.  Where the lean walk withholds it, a variable
+sharing the remainder ``R`` with ``u`` holds ``e``, or ``R`` is ``u``'s
+private one, and the skipped candidate is the new leaf's without ``e``
+under ``R := {e} \\/ R``: an instance of a candidate built earlier.  A
+hidden ``u``, which takes no extras, is the case no key shows.
+Repeating the change removes an absorption each time, so it ends at a
+leaf the rule keeps.
 
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
@@ -293,15 +299,16 @@ def unify(t1: Term, t2: Term, store: Optional[BindingStore] = None,
         case (Tup(), Tup()):
             if len(t1.members) != len(t2.members):
                 return []
+            # With nothing to report, the filter keeps the first store: each
+            # member stops at its first solution (rule (a)).
+            rvars = _relevant_vars([t1, t2], store, _hidden_vars(written)) if _filter else []
             stores = [store]
             for a, b in zip(t1.members, t2.members):
-                stores = [s2 for s in stores for s2 in unify(a, b, s, frozen, _filter=False)]
+                stores = [s2 for s in stores
+                          for s2 in unify(a, b, s, frozen, _filter=_filter and not rvars)]
                 if not stores:
                     return []
-            if _filter and len(stores) > 1:
-                rvars = _relevant_vars([t1, t2], store, _hidden_vars(written))
-                stores = _prune(stores, rvars) if rvars else stores[:1]
-            return stores
+            return _prune(stores, rvars) if rvars and len(stores) > 1 else stores
         case _:
             return []
 
@@ -325,8 +332,8 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     With the filter, the walk also stops at its first solution when no
     variable but a hidden one is left (rule (a)), compares two ground
     elements instead of unifying them (rule (b)), and, lean, never lets a
-    hidden union variable absorb an element that the other side pairs
-    with (rule (c)).  The module docstring proves that each rule keeps
+    union variable absorb an element that the other side pairs with
+    (rule (c)).  The module docstring proves that each rule keeps
     the answer and its order.
     """
     if store is None:
@@ -357,7 +364,6 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
     # filter could keep.
     lean = _filter and not any(u in union_vars for e in A + B for u in iter_vars(e))
     hidden = _hidden_vars((s1, s2))
-    veiled = lean and any(u in hidden for u in union_vars)
     absorbed: dict[Var, list[Term]] = {v: [] for v in union_vars}
     chosen: list[Optional[tuple]] = [None] * len(options)
     pairs: dict[tuple, list[BindingStore]] = {}
@@ -380,14 +386,6 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
             got = pairs[i, j, s] = [] if fails else unify(a, b, s, frozen, _filter=False)
         return got
 
-    def buried(k: int, kind: str, target) -> bool:
-        # B[k - len(A)] may not pair with an element that a hidden variable
-        # absorbed, nor be absorbed into a hidden variable once an element
-        # pairs with it.
-        if kind == "pair":
-            return chosen[target][0] == "absorb" and chosen[target][1] in hidden
-        return target in hidden and ("pair", k - len(A)) in chosen[:len(A)]
-
     def walk(k: int, stores: list[BindingStore]):
         # The witness choices from the k-th element on, in the order of the
         # full product of choices.
@@ -398,9 +396,13 @@ def unify_sets(s1: Term, s2: Term, store: Optional[BindingStore] = None,
                     return
             return
         element = A[k] if k < len(A) else B[k - len(A)]
+        # Rule (c): a right element pairs with no absorbed left element,
+        # and goes into no union variable once a left element pairs with it.
+        right = lean and k >= len(A)
+        paired = right and ("pair", k - len(A)) in chosen[:len(A)]
         for choice in options[k]:
             kind, target = choice
-            if veiled and k >= len(A) and buried(k, kind, target):
+            if right and (paired if kind == "absorb" else chosen[target][0] == "absorb"):
                 continue
             chosen[k] = choice
             nxt = stores

@@ -22,11 +22,9 @@ from calang.terms import (
     Tup,
     Var,
     VarScope,
-    VarSupply,
     check_set_wellformed,
     classify,
     desugar,
-    fresh_variable,
     iter_vars,
     map_vars,
     term_text,
@@ -179,22 +177,6 @@ class TestSetWellformed:
         raw = Tup((UNION_SYM, SetTerm([Sym("a")]), SetTerm([], [Var(("t", 0), "v", LOCAL)])))
         assert check_set_wellformed(raw) is not None
         assert check_set_wellformed(SetTerm([Tup((Sym("f"), raw))])) is not None
-
-
-class TestFreshVariables:
-    def test_fresh_distinct_from_parsed(self):
-        scope = VarScope()
-        d("($x, $y)", scope)
-        v = fresh_variable(scope.supply)
-        assert v not in scope.interned()
-
-    def test_thousand_distinct(self):
-        supply = VarSupply()
-        vs = [fresh_variable(supply) for _ in range(1000)]
-        assert len(set(vs)) == 1000
-
-    def test_fresh_is_local_category(self):
-        assert fresh_variable(VarSupply()).category == LOCAL
 
 
 class TestSetTermEquality:

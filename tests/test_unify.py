@@ -538,8 +538,12 @@ def ladder_run(k, reverse=False):
     """The solutions of rung k in one operand order, and the length of
     each candidate list that reached ``_prune``."""
     t1, t2 = ladder(k)
-    if reverse:
-        t1, t2 = t2, t1
+    return candidate_run(t2, t1) if reverse else candidate_run(t1, t2)
+
+
+def candidate_run(t1, t2):
+    """The solutions of ``t1 ~ t2``, and the length of each candidate list
+    that reached ``_prune``."""
     lengths = []
 
     def counting(stores, rvars):
@@ -571,10 +575,20 @@ def test_ladder_rung_3_is_minimal_and_order_independent():
     assert_ladder_minimal_and_order_independent(3, 484)
 
 
-@pytest.mark.parametrize("k,candidates", [(1, 6), (2, 89), (3, 2176)])
-def test_ladder_builds_no_extra_that_a_remainder_supplies(k, candidates):
+@pytest.mark.parametrize("k,candidates", [(1, 4), (2, 43), (3, 757)])
+def test_ladder_builds_no_supplied_extra_nor_absorbed_pair(k, candidates):
     # The full enumeration, _filter=False, builds 12, 328 and 14,176.
+    # Without rule (c) for named union variables, 6, 89 and 2,176.
     assert ladder_run(k)[1] == ladder_run(k, True)[1] == [candidates]
+
+
+def test_a_named_union_variable_absorbs_no_paired_element():
+    # {a} \/ $v ~ {a} \/ $w: of the 6 candidates that the extras rule
+    # leaves, 2 pair a with a and also absorb it into $v or $w.
+    t1, t2 = SetTerm([a], [v]), SetTerm([a], [w])
+    for p, q in ((t1, t2), (t2, t1)):
+        sols, lengths = candidate_run(p, q)
+        assert (len(sols), lengths) == (3, [4])
 
 
 def distinct_union_pairs():
@@ -736,9 +750,18 @@ class TestHiddenAnonymousVariables:
         for p, q in ((t1, t2), (t2, t1)):
             full = unify(p, q, _filter=False)
             assert len(full) > 1
-            with mock.patch("calang.unify._prune", side_effect=AssertionError):
+            members = []
+
+            def recording(*args, **kwargs):
+                members.append(unify_sets(*args, **kwargs))
+                return members[-1]
+
+            with mock.patch("calang.unify._prune", side_effect=AssertionError), \
+                    mock.patch("calang.unify.unify_sets", recording):
                 (s,) = unify(p, q)
             assert list(s.items()) == list(full[0].items())
+            # Each member stops at its first solution: one store apiece.
+            assert [len(m) for m in members] == [1, 1]
 
 
 h, h2 = Var(("t", 5), "_", "anonymous"), Var(("t", 6), "_", "anonymous")
