@@ -36,9 +36,8 @@ cannot.  A filter then makes one pass over the solutions, in order: it
 skips a duplicate and a solution that a kept one subsumes, and a
 solution it keeps drops the kept ones it subsumes.  As instance-of is
 transitive, that leaves the most general solutions, the earlier of two
-equivalent ones.  The instance check runs its matcher only when the
-specific solution keeps every ground part of the general one: no
-substitution changes a ground part, so the test rejects no instance.
+equivalent ones.  The instance check runs its matcher only on a pair
+that passes rules (i) to (iii) below.
 
 When the call filters its own answer and the equation is *flat*, no
 element holding one of its union variables, the walk builds only the
@@ -100,6 +99,45 @@ under ``R := {e} \\/ R``: an instance of a candidate built earlier.  A
 hidden ``u``, which takes no extras, is the case no key shows.
 Repeating the change removes an absorption each time, so it ends at a
 leaf the rule keeps.
+
+The instance check asks whether one substitution ``σ`` of the general
+vector's variables turns each general component ``g`` into its specific
+component ``s``.  The matcher renames the specific vector apart, one
+variable for one, so a specific variable is a constant that matches
+only itself; ``σ`` binds general variables to specific terms only.  On
+success ``σ(g)`` equals ``s``, a set component as a set, except that
+the matcher reads ``{} \\/ X`` as the variable ``X``: a general set
+``{} \\/ G`` matches a specific ``X`` when ``σ(G)`` is ``X`` or
+``{} \\/ X``.  Each rule below follows from that alone, whatever ``σ``
+is, so no substitution can change its verdict and it rejects no
+instance: the matcher runs only on pairs that pass all three.
+
+(i) *Ground parts and shapes, per component.*  ``σ`` leaves a ground
+part as it is, so it must equal its specific part, and it keeps a
+tuple's arity and maps its members one by one.  A general set maps to a
+set, never to a variable or an individual, and keeps every element:
+``σ(e)`` is an element of ``σ(g)``.  So a general set with elements
+needs a specific set with elements, and against a specific variable the
+matcher tries only a general set written ``{} \\/ G``.  Each element
+``e`` of a general set that is not a bare variable maps to some element
+of ``s``, and that element passes this rule against ``e``.
+
+(ii) *Whole components.*  Where a general variable ``g`` is a whole
+component at two places, ``σ(g)`` is matched against the specific
+component at each.  Both hold only constants, so each match is an
+equality, reading ``{} \\/ X`` as ``X`` in a tuple's members too: the
+two specific components are equal under that reading.
+
+(iii) *Forced content.*  Take a general component ``{e1, ..., en} \\/ G``
+with one union variable and its specific set ``s``.  Every element of
+``s`` is some ``σ(ek)`` or an element of ``σ(G)``.  An element against
+which no ``ek`` passes rule (i) is no ``σ(ek)``, so it is an element of
+``σ(G)``.  ``σ(G)`` merges into ``σ(g')`` for every general component
+``g'`` that holds ``G`` as a union variable, so the element is an
+element of the specific component there; if that component is a
+variable, ``σ(G)`` is ``X`` or ``{} \\/ X`` and has no element, and the
+rule fails.  The renaming is one to one, so this holds for non-ground
+elements too.
 
 A solution is a :class:`BindingStore`, and so is the substitution the
 one-way matcher behind :func:`is_instance_of` threads: both are applied
@@ -669,7 +707,7 @@ def _rename_apart(terms: list[Term]) -> list[Term]:
 
 
 def is_instance_of(specific: list[Term], general: list[Term],
-                   renamed: Optional[list[Term]] = None) -> bool:
+                   renamed: Optional[list[list[Term]]] = None) -> bool:
     """True when the specific value vector is obtainable from the general
     one by substituting for its free variables.
 
@@ -677,41 +715,92 @@ def is_instance_of(specific: list[Term], general: list[Term],
     variable of the general side may stand for any part of the matching
     specific set, including elements that the general side's own
     elements already cover: ``[{b} \\/ H, {a, b} \\/ H]`` is an instance
-    of ``[{b} \\/ G, {a} \\/ G]`` by ``G := {b} \\/ H``.
-    ``renamed``, if given, is ``_rename_apart(specific)``, computed once.
+    of ``[{b} \\/ G, {a} \\/ G]`` by ``G := {b} \\/ H``.  The matcher runs
+    only on a pair that passes rules (i) to (iii) of the module
+    docstring.  ``renamed``, if given, caches ``_rename_apart(specific)``
+    for a caller that checks one vector many times: it is empty until the
+    matcher first runs on ``specific``, and then holds that one value.
     """
-    if not all(map(_keeps_ground_parts, specific, general)):
+    if not _may_match(specific, general):
         return False
-    renamed = _rename_apart(specific) if renamed is None else renamed
-    return next(_match_all(general, renamed, BindingStore()), None) is not None
+    renamed = [] if renamed is None else renamed
+    if not renamed:
+        renamed.append(_rename_apart(specific))
+    return next(_match_all(general, renamed[0], BindingStore()), None) is not None
 
 
-def _keeps_ground_parts(specific: Term, general: Term) -> bool:
-    """A necessary condition for the matcher, which no substitution can
-    change: every ground part of ``general`` survives in ``specific``."""
-    if general.ground:
-        return general == specific
-    if isinstance(general, SetTerm):
-        return isinstance(specific, Var) or (isinstance(specific, SetTerm) and all(
-            e in specific._key[0] for e in general.elements if e.ground))
-    if isinstance(general, Tup):
-        return (isinstance(specific, Tup) and len(specific.members) == len(general.members)
-                and all(map(_keeps_ground_parts, specific.members, general.members)))
-    return True
+def _may_match(specific: list[Term], general: list[Term]) -> bool:
+    """Rules (i) to (iii) of the module docstring: a necessary condition
+    for the matcher, which no substitution can change."""
+    # Sets last: the other components are cheaper and reject most pairs.
+    whole: dict[Var, Term] = {}
+    sets = []
+    for s, g in zip(specific, general):
+        if isinstance(g, SetTerm):
+            sets.append((s, g))
+        elif isinstance(g, Var):
+            if not _same(whole.setdefault(g, s), s):
+                return False
+        elif not _fits(s, g):
+            return False
+    forced: dict[Var, set[Term]] = {}
+    for s, g in sets:
+        if not _fits(s, g):
+            return False
+        if len(g.union_vars) == 1 and isinstance(s, SetTerm):
+            loose = [f for f in s.elements if not any(_fits(f, e) for e in g.elements)]
+            if loose:
+                forced.setdefault(g.union_vars[0], set()).update(loose)
+    return not forced or all(
+        u not in forced or (isinstance(s, SetTerm) and forced[u] <= s._key[0])
+        for s, g in sets for u in g.union_vars)
+
+
+def _fits(s: Term, g: Term) -> bool:
+    """Rule (i): the specific ``s`` keeps the ground parts and the shape
+    of the general ``g``."""
+    if g.ground:
+        return g == s
+    if isinstance(g, Var):
+        return True
+    if isinstance(g, Tup):
+        return (isinstance(s, Tup) and len(s.members) == len(g.members)
+                and all(map(_fits, s.members, g.members)))
+    if isinstance(s, Var):
+        return not g.elements and len(g.union_vars) == 1
+    return isinstance(s, SetTerm) and bool(s.elements or not g.elements) and all(
+        e in s._key[0] if e.ground else any(_fits(f, e) for f in s.elements)
+        for e in g.elements if not isinstance(e, Var))
+
+
+def _same(a: Term, b: Term) -> bool:
+    """Rule (ii): two specific terms are equal as the matcher compares
+    them, which reads ``{} \\/ X`` as ``X``, in a tuple's members too."""
+    if isinstance(a, Tup) and isinstance(b, Tup):
+        return len(a.members) == len(b.members) and all(map(_same, a.members, b.members))
+    return _bare(a) == _bare(b)
+
+
+def _bare(t: Term) -> Term:
+    # {} \/ X is X.
+    if isinstance(t, SetTerm) and not t.elements and len(t.union_vars) == 1:
+        return t.union_vars[0]
+    return t
 
 
 def _prune(stores: list[BindingStore], rvars: list[Var]) -> list[BindingStore]:
     """The most general of ``stores``, in order, in one pass: skip a store
     whose snapshot was seen or that a kept store subsumes, else drop the
-    kept stores it subsumes and keep it (see the module docstring)."""
+    kept stores it subsumes and keep it (see the module docstring).  A
+    snapshot is renamed apart once, the first time the matcher needs it."""
     seen: set[tuple] = set()
-    kept: list[tuple[BindingStore, tuple, list[Term]]] = []
+    kept: list[tuple[BindingStore, tuple, list[list[Term]]]] = []
     for s in stores:
         values = solution_snapshot(s, rvars)
         if values in seen:
             continue
         seen.add(values)
-        renamed = _rename_apart(values)
+        renamed: list[list[Term]] = []
         if any(is_instance_of(values, general, renamed) for _, general, _ in kept):
             continue
         kept = [k for k in kept if not is_instance_of(k[1], values, k[2])]
