@@ -137,7 +137,7 @@ def clone_declaration(decl: BoxDeclaration, supply: VarSupply) -> BoxDeclaration
 
     clauses = tuple(
         Clause(tuple(rn_pred(p) for p in c.conditions),
-               tuple(rn_pred(p) for p in c.assertions), c.pos, inherited=c.inherited)
+               tuple(rn_pred(p) for p in c.assertions), c.pos, guards=c.guards)
         for c in decl.clauses)
     object_vars = {name: rn_var(v) for name, v in decl.object_vars.items()}
     env_vars = {name: rn_var(v) for name, v in decl.env_vars.items()}

@@ -14,6 +14,26 @@ unified, as its written terms decide (:attr:`Predicate.unifies`).  An
 equivalence with several maximally general unifiers forks the branch;
 every surviving branch is reported.
 
+A guard that held in a branch is not solved again in it.
+:func:`flatten_provided` numbers each provided condition, and a clause
+leaves out its copy of a guard that some clause in the branch's
+``fired`` also inherited.  That copy would hold and bind nothing that is
+read.  The branch's store extends the store in which the earlier copy
+held, as a store only grows.  The new copy differs from the earlier one
+only in its fresh ``$_`` variables, since named variables intern to one
+identity across the declaration.  So it holds again when each new ``$_``
+is bound to what its counterpart resolves to, and that unifier binds
+only those ``$_`` variables.  Nothing reads them: no later predicate, as
+every copy has its own; no merge key, as :func:`_observable_vars` and
+the local key skip anonymous variables; no report and no connection,
+which show named variables.  Every other unifier binds more, so on the
+named variables it is an instance of that one, and :func:`unify`, whose
+answer is keyed on them with a written ``$_`` left out, returns that one
+store.  A relation that held bound its variables, and evaluating it on
+bound variables binds nothing.  A guard is solved again in a branch
+where no clause that inherited it fired, whether its own condition or
+another guard failed.
+
 Conditions are tests, not wishes: an input object variable that has no
 association cannot acquire one inside a condition.  A condition that
 would need to bind such a variable simply fails, so a box given no input
@@ -51,8 +71,9 @@ does), every branch gets the full key.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import count, zip_longest
 from typing import Callable, Collection, Iterable, Optional
 
 from . import syntax
@@ -87,8 +108,9 @@ class Clause:
     conditions: tuple[Predicate, ...]
     assertions: tuple[Predicate, ...]
     pos: Pos = field(compare=False)
-    # How many leading conditions were inherited from provided blocks.
-    inherited: int = field(default=0, compare=False)
+    # The number of the provided condition that each leading condition
+    # copies, outermost block first; the clause's own conditions follow.
+    guards: tuple[int, ...] = field(default=(), compare=False)
 
 
 class SemanticError(Exception):
@@ -139,6 +161,9 @@ def flatten_provided(decl: Declaration) -> BoxDeclaration:
     compose.  Guard conditions are desugared afresh per clause they
     distribute over, so each copy's ``$_`` occurrences are distinct, but
     named variables intern to the same identity across the declaration.
+    Each provided condition gets a number, in source order, and a clause's
+    ``guards`` gives the number of each condition it inherits: two copies
+    of one guard share it, and two blocks that write the same guard do not.
     """
     header = decl.header
     fields: list[str] = []
@@ -153,16 +178,18 @@ def flatten_provided(decl: Declaration) -> BoxDeclaration:
 
     scope = VarScope(object_fields=fields)
     clauses: list[Clause] = []
+    numbers = count()
 
     def walk(decls, pending):
         for d in decls:
             if isinstance(d, ProvidedBlock):
-                walk(d.body, pending + list(d.conditions))
+                walk(d.body, pending + [(next(numbers), p) for p in d.conditions])
             else:
-                inherited = tuple(_desugar_predicate(p, scope) for p in pending)
+                inherited = tuple(_desugar_predicate(p, scope) for _, p in pending)
                 own = tuple(_desugar_predicate(p, scope) for p in d.conditions)
                 asserts = tuple(_desugar_predicate(p, scope) for p in d.assertions)
-                clauses.append(Clause(inherited + own, asserts, d.pos, inherited=len(inherited)))
+                clauses.append(Clause(inherited + own, asserts, d.pos,
+                                      guards=tuple(g for g, _ in pending)))
 
     walk(decl.decls, [])
 
@@ -306,7 +333,9 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
     Clause effects accumulate per branch; a clause whose condition fails
     leaves the branch unchanged, and a clause whose assertions cannot
     hold discards it.  Inside a clause, stores that say the same are
-    merged after each predicate; after each clause, so are branches.
+    merged after each predicate; after each clause, so are branches.  A
+    clause leaves out its copy of a guard that a clause the branch fired
+    also inherited (see the module docstring).
     """
     store = inputs if inputs is not None else BindingStore()
     frozen = frozenset(decl.input_vars)
@@ -318,7 +347,11 @@ def evaluate_box(decl: BoxDeclaration, inputs: Optional[BindingStore] = None) ->
         nxt: list[Branch] = []
         fired_somewhere = False
         for br in branches:
-            fr = fire_clause(clause, br.store, frozen, decl.variables)
+            held = {g for i in br.fired for g in decl.clauses[i].guards}
+            # zip_longest pairs each own condition with None, never held.
+            todo = replace(clause, conditions=tuple(
+                p for g, p in zip_longest(clause.guards, clause.conditions) if g not in held))
+            fr = fire_clause(todo, br.store, frozen, decl.variables)
             for msg in fr.failures:
                 diagnostics.append(Diagnostic("warning", f"{label}: {msg}", clause.pos))
             if not fr.condition_held:

@@ -2,8 +2,10 @@
 expectations for the worked two-output example and small fixtures."""
 
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from calang import aggregate, clauses, syntax
 from calang import unify as unify_module
@@ -72,14 +74,14 @@ class TestFlattenProvided:
         box = parse_box(mybox_source)
         assert len(box.clauses) == 4
         for c in box.clauses:
-            assert c.inherited == 2
+            assert c.guards == (0, 1)  # every clause copies the same two guards
             # both guard conditions talk about $a and $k
             assert {term_text(p.lhs) for p in c.conditions[:2]} == {"$a", "$k"}
 
     def test_no_provided_blocks_unchanged(self):
         box = parse_box("box b ((x) -> (y)): $x = 1 => $y = 2;")
         (clause,) = box.clauses
-        assert clause.inherited == 0
+        assert len(clause.guards) == 0
         assert len(clause.conditions) == 1
 
     def test_nested_provided_composes_outer_first(self):
@@ -93,7 +95,7 @@ class TestFlattenProvided:
             "  end;\n"
             "end;")
         (clause,) = box.clauses
-        assert clause.inherited == 2
+        assert len(clause.guards) == 2
         conds = [str(p) for p in clause.conditions]
         assert conds == ["$x > 1", "$x > 2", "$x > 3"]
 
@@ -416,7 +418,9 @@ def reference_fire(clause, store, frozen):
 def reference_evaluate_box(decl, store):
     """:func:`evaluate_box` as it stood with one merge only, at the end of
     each clause, except that a failure is reported once: the branches and
-    the diagnostics."""
+    the diagnostics.  Every clause solves all its conditions, each copy of
+    a guard that already held included, so this is also the oracle for
+    leaving those copies out."""
     frozen = frozenset(decl.input_vars)
     branches, diagnostics = [Branch(store, ())], []
     for idx, clause in enumerate(decl.clauses):
@@ -626,11 +630,7 @@ class TestMergeAfterEachPredicate:
     @pytest.mark.parametrize("name", EVALUATE_BOX_CASES)
     def test_evaluate_box_cases(self, name):
         source, values = EVALUATE_BOX_CASES[name]
-        box = parse_box(source)
-        store = BindingStore()
-        for field_name, value in values.items():
-            store = store.bind(box.object_vars[field_name], term(value))
-        merges_as_the_reference(box, store)
+        merges_as_the_reference(*box_with_inputs(source, **values))
 
     @pytest.mark.parametrize("name", NETWORKS)
     def test_network_boxes(self, monkeypatch, tmp_path, name):
@@ -639,21 +639,13 @@ class TestMergeAfterEachPredicate:
         for decl, store in calls:
             merges_as_the_reference(decl, store)
 
-    def test_mybox_runs_8_set_unifications(self, monkeypatch, mybox_source):
-        # Each of the 4 clauses runs its two guards once: neither forks on
-        # what its $_ holds.
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return unify_sets(*args, **kwargs)
-
-        unify_sets = unify_module.unify_sets
+    def test_mybox_runs_2_set_unifications(self, mybox_source):
+        # Clause 1 runs the two guards once: neither forks on what its $_
+        # holds.  Clauses 2 to 4 inherit the same two guards, which held
+        # when clause 1 fired, so they run neither.
         box = parse_box(mybox_source)
         store = mybox_inputs(box, 500)
-        monkeypatch.setattr(unify_module, "unify_sets", counting)
-        evaluate_box(box, store)
-        assert len(calls) == 8
+        assert set_unifications(evaluate_box, box, store)[0] == 2
 
     def test_failing_assertion_behind_a_forking_guard_warns_once(self):
         # The guard has one solution, whatever $_ holds, so the failing
@@ -663,6 +655,183 @@ class TestMergeAfterEachPredicate:
         assert ev.branches == []
         assert [d.message for d in ev.diagnostics] == [
             "clause 1: assertion does not hold: $y = 2", "box X: no consistent evaluation branch"]
+
+
+def set_unifications(fn, *args):
+    """How many times ``fn(*args)`` calls ``unify_sets``, and its result."""
+    calls = 0
+    real = unify_module.unify_sets
+
+    def counting(*a, **kw):
+        nonlocal calls
+        calls += 1
+        return real(*a, **kw)
+
+    with patch.object(unify_module, "unify_sets", counting):
+        out = fn(*args)
+    return calls, out
+
+
+def conditions_run(monkeypatch, box, store):
+    """Evaluate ``box``; return the conditions that each clause ran in
+    each branch, in order."""
+    ran = []
+
+    def record(clause, *args):
+        ran.append([str(p) for p in clause.conditions])
+        return fire_clause(clause, *args)
+
+    monkeypatch.setattr(clauses, "fire_clause", record)
+    evaluate_box(box, store)
+    return ran
+
+
+def box_with_inputs(source, **values):
+    """The box of ``source`` and a store binding its input fields to the
+    terms written in ``values``."""
+    box = parse_box(source)
+    store = BindingStore()
+    for name, value in values.items():
+        store = store.bind(box.object_vars[name], term(value))
+    return box, store
+
+
+GUARD_X = "$x :=: {a} \\/ $_"
+GUARD_W = "$w :=: {b} \\/ $_"
+
+
+class TestHeldGuardsAreNotSolvedAgain:
+    """A clause leaves out its copy of a guard that a clause the branch
+    fired also inherited: that guard held, and the branch's store only
+    grows.  Each count is below what solving every copy makes."""
+
+    def test_a_guard_is_solved_again_after_a_clause_whose_own_condition_failed(self, monkeypatch):
+        box, store = box_with_inputs(
+            "box B ((x) -> (y, z)):\n"
+            f"provided {GUARD_X} use\n"
+            "  $x :=: {c} \\/ $_ => $y = 1;\n"  # x holds no c: clause 1 does not fire
+            "  => $y = 2;\n"
+            "  => $z = 3;\n"
+            "end;", x="{a, b}")
+        assert conditions_run(monkeypatch, box, store) == [
+            [GUARD_X, "$x :=: {c} \\/ $_"], [GUARD_X], []]
+        ev = evaluate_box(box, store)
+        assert [br.fired for br in ev.branches] == [(1, 2)]
+        assert set_unifications(evaluate_box, box, store)[0] == 3  # solving every copy makes 4
+
+    def test_two_blocks_with_the_same_written_guard_do_not_share_it(self, monkeypatch):
+        box, store = box_with_inputs(
+            "box B ((x) -> (y, z)):\n"
+            f"provided {GUARD_X} use => $y = 1; end;\n"
+            f"provided {GUARD_X} use => $z = 2; => $z = 2; end;", x="{a, b}")
+        assert [c.guards for c in box.clauses] == [(0,), (1,), (1,)]
+        assert conditions_run(monkeypatch, box, store) == [
+            [GUARD_X], [GUARD_X], []]
+        assert set_unifications(evaluate_box, box, store)[0] == 2  # solving every copy makes 3
+
+    def test_nested_blocks_skip_exactly_the_guards_of_blocks_that_fired(self, monkeypatch):
+        # Clause 1 does not fire, so clause 2 solves both guards; clause 3
+        # is in the outer block only, whose guard held in clause 2; clause
+        # 4's inner block has a guard of its own, which nothing solved yet.
+        box, store = box_with_inputs(
+            "box B ((x, w) -> (y, z)):\n"
+            f"provided {GUARD_X} use\n"
+            f"  provided {GUARD_W} use\n"
+            "    $w :=: {c} \\/ $_ => $y = 1;\n"
+            "    => $y = 2;\n"
+            "  end;\n"
+            "  => $z = 3;\n"
+            f"  provided {GUARD_W} use\n"
+            "    => $z = 3;\n"
+            "  end;\n"
+            "end;", x="{a}", w="{b}")
+        assert [c.guards for c in box.clauses] == [(0, 1), (0, 1), (0,), (0, 2)]
+        assert conditions_run(monkeypatch, box, store) == [
+            [GUARD_X, GUARD_W, "$w :=: {c} \\/ $_"],
+            [GUARD_X, GUARD_W],
+            [],
+            [GUARD_W]]
+        ev = evaluate_box(box, store)
+        assert [br.fired for br in ev.branches] == [(1, 2, 3)]
+        assert set_unifications(evaluate_box, box, store)[0] == 6  # solving every copy makes 8
+
+    def test_every_network_instance_skips_its_held_guards(self, monkeypatch, tmp_path):
+        # Each instance evaluates a clone of its box, which keeps the guard
+        # numbers: one set unification per instance for the guard, and one
+        # for the second clause's assertion against the first's $y.
+        box = ("box {} ((x) -> (y)):\n"
+               "provided $x :=: {{value($v)}} \\/ $_ use\n"
+               "  => $y :=: {{value($v), Type(int)}};\n"
+               "  => $y :=: {{Type(int), value($v)}};\n"
+               "end;\n")
+        counts = []
+
+        def record(decl, inputs):
+            calls, ev = set_unifications(evaluate_box, decl, inputs)
+            counts.append(calls)
+            return ev
+
+        monkeypatch.setattr(aggregate, "evaluate_box", record)
+        (tmp_path / "lib.cal").write_text("".join(box.format(f"P{i}") for i in range(3)))
+        (net,) = aggregate.parse_network_file("use lib.cal\nnet m = P0 .. P1 .. P2\n", tmp_path)
+        store = aggregate.network_input_store(
+            net, aggregate.parse_env_file("P0.$x = {value(7), tag(1)}\n"))
+        ev = aggregate.aggregate_functional(net, store)
+        assert [br.fired for br in ev.branches] == [{"P0": (0, 1), "P1": (0, 1), "P2": (0, 1)}]
+        assert counts == [2, 2, 2]  # solving every copy makes 3 each
+
+
+# Atoms and shared named variables of the generated boxes' set equations.
+ATOMS = ["1", "2", "a"]
+ELEMENTS = ATOMS + ["$e", "$f", "$_"]
+UNIONS = ["", " \\/ $_", " \\/ $r", " \\/ $s"]
+
+
+@st.composite
+def provided_boxes(draw):
+    """A box over inputs ``x`` and ``w`` whose clauses sit in provided
+    blocks nested up to two deep, and ground sets for its inputs.  Guards
+    and own conditions are set equations with named elements, ``$_`` and
+    named remainders, or relations; any of them may fail."""
+    def set_equation(subject):
+        elements = draw(st.lists(st.sampled_from(ELEMENTS), max_size=2))
+        return f"{subject} :=: {{{', '.join(elements)}}}{draw(st.sampled_from(UNIONS))}"
+
+    def condition():
+        if draw(st.integers(0, 3)) == 0:
+            return f"{draw(st.sampled_from(['$e', '$f']))} {draw(st.sampled_from(['>', '<=']))} 1"
+        return set_equation(draw(st.sampled_from(["$x", "$w", "$r"])))
+
+    def assertion():
+        return draw(st.sampled_from([
+            set_equation("$y"), "$y :=: $r", "$z = $e + 1", "$z :=: {$f} \\/ $s"]))
+
+    def items(depth, block_first=False):
+        out = []
+        for i in range(draw(st.integers(1, 3))):
+            if block_first and i == 0 or depth < 2 and draw(st.booleans()):
+                guards = ", ".join(condition() for _ in range(draw(st.integers(1, 2))))
+                out.append(f"provided {guards} use\n{items(depth + 1)}end;\n")
+            else:
+                own = ", ".join(condition() for _ in range(draw(st.integers(0, 1))))
+                asserts = ", ".join(assertion() for _ in range(draw(st.integers(1, 2))))
+                out.append(f"{own} => {asserts};\n")
+        return "".join(out)
+
+    source = f"box B ((x, w) -> (y, z)):\n{items(0, block_first=True)}"
+    values = {name: "{" + ", ".join(draw(st.lists(st.sampled_from(ATOMS), max_size=3))) + "}"
+              for name in ("x", "w")}
+    return source, values
+
+
+@settings(max_examples=150, deadline=None)
+@given(provided_boxes())
+def test_leaving_out_held_guards_merges_as_the_reference(case):
+    source, values = case
+    box, store = box_with_inputs(source, **values)
+    merges_as_the_reference(box, store)
+    assert set_unifications(evaluate_box, box, store)[0] <= \
+        set_unifications(reference_evaluate_box, box, store)[0]
 
 
 class TestFreshVariableAccounting:
